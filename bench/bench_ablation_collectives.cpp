@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/collectives.hpp"
+#include "core/transport.hpp"
 #include "emul/emulator.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -188,7 +189,7 @@ int main(int argc, char** argv) {
       }
     }
     const ScheduleChoice choice = evaluate_alltoallv_schedule(
-        bytes, delivery == DeliveryStrategy::Socket, sel_g, sel_l, 16);
+        bytes, is_mesh_delivery(delivery), sel_g, sel_l, 16);
 
     for (const auto schedule :
          {CollectiveSchedule::Direct, CollectiveSchedule::TwoPhase}) {

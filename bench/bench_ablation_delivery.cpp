@@ -149,10 +149,7 @@ int main(int argc, char** argv) {
               << argv[0] << " --transport " << which << "\n";
     return 1;
   }
-  const int proc_rank = tcp_base.delivery == DeliveryStrategy::Shm
-                            ? tcp_base.shm_rank
-                            : tcp_base.tcp_rank;
-  const bool chatty = !proc_mode || proc_rank == 0;
+  const bool chatty = !proc_mode || tcp_base.rank == 0;
   const int run_np = proc_mode ? tcp_base.nprocs : np;
 
   if (chatty) {

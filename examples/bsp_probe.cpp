@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   auto procs = args.get_int_list("procs", {1, 2, 4, 8});
   DeliveryStrategy delivery;
   FaultPlan fault_plan;
-  Config tcp_base;  // delivery/nprocs/tcp_*/shm_* from bsp_launch's env
+  Config tcp_base;  // delivery/nprocs/rank/tcp_*/shm_* from bsp_launch's env
   try {
     delivery = delivery_from_string(args.get_string("transport", "deferred"));
     const std::string plan_spec = args.get_string("fault-plan", "");
@@ -96,8 +96,7 @@ int main(int argc, char** argv) {
   const bool chatty =
       (delivery != DeliveryStrategy::Tcp &&
        delivery != DeliveryStrategy::Shm) ||
-      (delivery == DeliveryStrategy::Tcp ? tcp_base.tcp_rank
-                                         : tcp_base.shm_rank) == 0;
+      tcp_base.rank == 0;
   const auto retries =
       static_cast<std::size_t>(args.get_int("retries", 0));
   const auto checkpoint_every =
@@ -184,9 +183,7 @@ int main(int argc, char** argv) {
     for (const auto& [np, mp] : fitted) {
       if (np < 2) continue;  // every schedule degenerates at p = 1
       const std::size_t sp = static_cast<std::size_t>(np);
-      const bool staged = delivery == DeliveryStrategy::Socket ||
-                          delivery == DeliveryStrategy::Tcp ||
-                          delivery == DeliveryStrategy::Shm;
+      const bool staged = is_mesh_delivery(delivery);
       const double g = mp.g_us > 0.0 ? mp.g_us : 0.001;
       const double l = mp.L_us > 0.0 ? mp.L_us : 0.001;
       // Representative h-relations: 512 KiB per rank, spread vs focused.

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 
+#include "core/transport.hpp"  // is_mesh_delivery
+
 namespace gbsp {
 
 namespace detail {
@@ -47,6 +49,13 @@ CollectiveAlgorithm choose_rooted_algorithm(const Config& cfg, int p,
       cfg.packet_unit_bytes);
   return c.schedule == CollectiveSchedule::Tree ? CollectiveAlgorithm::Tree
                                                 : CollectiveAlgorithm::Direct;
+}
+
+ScheduleChoice choose_alltoallv_schedule(
+    const Config& cfg, const std::vector<std::vector<std::uint64_t>>& bytes) {
+  return evaluate_alltoallv_schedule(
+      bytes, is_mesh_delivery(cfg.delivery), resolve_collective_g_us(cfg),
+      resolve_collective_l_us(cfg), cfg.packet_unit_bytes);
 }
 
 }  // namespace detail

@@ -129,6 +129,12 @@ namespace detail {
                                                           int p,
                                                           std::size_t bytes);
 
+/// The Auto alltoallv choice for the shared byte matrix under `cfg`: staged
+/// pricing exactly for the mesh deliveries (is_mesh_delivery), the
+/// h-relation law for the barrier transports, with cfg's g/L.
+[[nodiscard]] ScheduleChoice choose_alltoallv_schedule(
+    const Config& cfg, const std::vector<std::vector<std::uint64_t>>& bytes);
+
 }  // namespace detail
 
 /// Broadcast `value` from `root` to all processors; every processor returns
@@ -809,11 +815,7 @@ std::vector<std::vector<T>> alltoallv(
           flat.begin() + static_cast<std::ptrdiff_t>(s) * p,
           flat.begin() + static_cast<std::ptrdiff_t>(s + 1) * p);
     }
-    const ScheduleChoice c = evaluate_alltoallv_schedule(
-        matrix, cfg.delivery == DeliveryStrategy::Socket,
-        detail::resolve_collective_g_us(cfg),
-        detail::resolve_collective_l_us(cfg), cfg.packet_unit_bytes);
-    schedule = c.schedule;
+    schedule = detail::choose_alltoallv_schedule(cfg, matrix).schedule;
     // Re-derive the framing limit from the shared matrix (not from this
     // rank's own rows), so the Direct fallback below is the same decision on
     // every rank.

@@ -37,20 +37,20 @@ enum class DeliveryStrategy {
   /// runs the rigid (p-1)-stage total exchange (stage k: pid i sends to
   /// (i+k) mod p and receives from (i-k) mod p, length-prefixed frames).
   /// No boundary barriers: the exchange itself is the synchronisation, as on
-  /// the real PC-LAN. See core/transport_socket.hpp.
+  /// the real PC-LAN. See core/transport_mesh.hpp.
   Socket,
   /// The same staged exchange over AF_INET/TCP between separate OS
-  /// processes: this process is exactly one rank (tcp_rank) of an nprocs
-  /// process run, normally launched by `bsp_launch`, and connects to its
-  /// peers over loopback or a real LAN. See core/transport_tcp.hpp.
+  /// processes: this process is exactly one rank (Config::rank) of an
+  /// nprocs process run, normally launched by `bsp_launch`, and connects to
+  /// its peers over loopback or a real LAN.
   Tcp,
   /// The same staged exchange between separate OS processes over shared
   /// memory: each rank pair shares an mmap'd memfd segment holding one SPSC
   /// byte ring per direction (plus a zero-copy payload slab), bootstrapped
   /// by an AF_UNIX fd-passing handshake. The steady-state data path is pure
   /// memcpy + atomic head/tail counters — zero syscalls (wire_syscalls
-  /// reads 0). One process == one rank (shm_rank), normally launched by
-  /// `bsp_launch --transport shm`. See core/transport_shm.hpp.
+  /// reads 0). One process == one rank (Config::rank), normally launched by
+  /// `bsp_launch --transport shm`.
   Shm,
 };
 
@@ -150,10 +150,10 @@ struct Config {
   /// preambles and partial scatter-gather writes).
   std::size_t socket_buffer_bytes = 0;
 
-  /// TCP transport (delivery == Tcp): which rank of the nprocs-process run
-  /// THIS process is. Set by bsp_launch via the GBSP_RANK environment
-  /// variable (see configure_tcp_from_env).
-  int tcp_rank = 0;
+  /// Process transports (delivery == Tcp or Shm): which rank of the
+  /// nprocs-process run THIS process is. Set by bsp_launch via the
+  /// GBSP_RANK environment variable (see configure_proc_from_env).
+  int rank = 0;
 
   /// TCP transport: numeric IPv4 address every rank binds and connects on.
   /// Loopback by default; a real LAN run sets the rank's reachable address.
@@ -163,15 +163,11 @@ struct Config {
   /// tcp_port + r, so a p-process run occupies [tcp_port, tcp_port + p - 1].
   int tcp_port = 47100;
 
-  /// TCP transport: bootstrap deadline. Covers the connect retry loop (peers
-  /// start at different times; ECONNREFUSED is retried until the listener
-  /// comes up) and each blocking rank-handshake read/write.
+  /// Process transports (tcp and shm): bootstrap deadline. Covers the
+  /// dial retry loop (peers start at different times; a refused connect is
+  /// retried until the listener comes up), each blocking rank-handshake
+  /// read/write, and the shm segment handoff.
   std::size_t tcp_connect_timeout_ms = 10'000;
-
-  /// Shm transport (delivery == Shm): which rank of the nprocs-process run
-  /// THIS process is. Set by bsp_launch via the GBSP_RANK environment
-  /// variable (see configure_proc_from_env).
-  int shm_rank = 0;
 
   /// Shm transport: run identity. The bootstrap rendezvous uses abstract
   /// AF_UNIX socket names derived from it ("\0gbsp-shm.<name>.<rank>"), so
@@ -319,19 +315,31 @@ inline void validate_config(const Config& cfg) {
         "gbsp: socket_max_frame_bytes must be <= 2^37, got " +
         std::to_string(cfg.socket_max_frame_bytes));
   }
-  if (cfg.delivery == DeliveryStrategy::Tcp) {
+  if (cfg.delivery == DeliveryStrategy::Tcp ||
+      cfg.delivery == DeliveryStrategy::Shm) {
+    const std::string name =
+        cfg.delivery == DeliveryStrategy::Tcp ? "tcp" : "shm";
     if (cfg.scheduling == Scheduling::Serialized) {
       throw std::invalid_argument(
-          "gbsp: Serialized scheduling is incompatible with the tcp "
-          "transport (one process hosts one rank; there is no global "
+          "gbsp: Serialized scheduling is incompatible with the " + name +
+          " transport (one process hosts one rank; there is no global "
           "exchange to serialize)");
     }
-    if (cfg.tcp_rank < 0 || cfg.tcp_rank >= cfg.nprocs) {
+    if (cfg.rank < 0 || cfg.rank >= cfg.nprocs) {
       throw std::invalid_argument(
-          "gbsp: tcp_rank must be in [0, nprocs), got tcp_rank=" +
-          std::to_string(cfg.tcp_rank) +
+          "gbsp: rank must be in [0, nprocs), got rank=" +
+          std::to_string(cfg.rank) +
           " with nprocs=" + std::to_string(cfg.nprocs));
     }
+    if (cfg.tcp_connect_timeout_ms == 0 ||
+        cfg.tcp_connect_timeout_ms > kMaxStageTimeoutMs) {
+      throw std::invalid_argument(
+          "gbsp: tcp_connect_timeout_ms (the " + name +
+          " bootstrap deadline) must be in [1, 3600000], got " +
+          std::to_string(cfg.tcp_connect_timeout_ms));
+    }
+  }
+  if (cfg.delivery == DeliveryStrategy::Tcp) {
     if (cfg.tcp_host.empty() ||
         cfg.tcp_host.find_first_of(" \t\n:") != std::string::npos) {
       throw std::invalid_argument(
@@ -350,26 +358,8 @@ inline void validate_config(const Config& cfg) {
           std::to_string(cfg.tcp_port) +
           " with nprocs=" + std::to_string(cfg.nprocs) + " overflows it");
     }
-    if (cfg.tcp_connect_timeout_ms == 0 ||
-        cfg.tcp_connect_timeout_ms > kMaxStageTimeoutMs) {
-      throw std::invalid_argument(
-          "gbsp: tcp_connect_timeout_ms must be in [1, 3600000], got " +
-          std::to_string(cfg.tcp_connect_timeout_ms));
-    }
   }
   if (cfg.delivery == DeliveryStrategy::Shm) {
-    if (cfg.scheduling == Scheduling::Serialized) {
-      throw std::invalid_argument(
-          "gbsp: Serialized scheduling is incompatible with the shm "
-          "transport (one process hosts one rank; there is no global "
-          "exchange to serialize)");
-    }
-    if (cfg.shm_rank < 0 || cfg.shm_rank >= cfg.nprocs) {
-      throw std::invalid_argument(
-          "gbsp: shm_rank must be in [0, nprocs), got shm_rank=" +
-          std::to_string(cfg.shm_rank) +
-          " with nprocs=" + std::to_string(cfg.nprocs));
-    }
     // The name lands inside sun_path of an abstract AF_UNIX address
     // ("\0gbsp-shm.<name>.<rank>"), which caps at ~107 bytes.
     if (cfg.shm_name.empty() || cfg.shm_name.size() > 64 ||
@@ -407,13 +397,6 @@ inline void validate_config(const Config& cfg) {
           "gbsp: shm_inline_threshold must be >= 64 (tiny payloads are "
           "cheaper inline than through a slab descriptor), got " +
           std::to_string(cfg.shm_inline_threshold));
-    }
-    if (cfg.tcp_connect_timeout_ms == 0 ||
-        cfg.tcp_connect_timeout_ms > kMaxStageTimeoutMs) {
-      throw std::invalid_argument(
-          "gbsp: tcp_connect_timeout_ms (also the shm bootstrap deadline) "
-          "must be in [1, 3600000], got " +
-          std::to_string(cfg.tcp_connect_timeout_ms));
     }
   }
   if (!(cfg.collective_g_us >= 0.0) || !(cfg.collective_l_us >= 0.0)) {

@@ -12,7 +12,7 @@
 //     matching call at rank r / superstep s / stage k, or fire with a
 //     seeded per-rank probability (chaos mode).
 //   * A FaultInjector evaluates the plan. Transports consult it at their
-//     injection points (core/transport_socket.cpp syscall sites; the
+//     injection points (core/exchange_engine.cpp syscall sites; the
 //     deferred/eager boundary hooks in core/transport.cpp) and act out the
 //     returned decision: pretend EINTR/EAGAIN, truncate the transfer,
 //     shut down the endpoint, garble a received control byte, sleep, or

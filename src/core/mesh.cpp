@@ -114,10 +114,6 @@ bool write_full(int fd, const void* buf, std::size_t n, int* err) {
   return true;
 }
 
-std::string endpoint_str(const std::string& host, int port) {
-  return host + ":" + std::to_string(port);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------- Mesh
@@ -217,9 +213,32 @@ void SocketpairMesh::kill_endpoints(int pid) {
   }
 }
 
-// ----------------------------------------------------------------- TcpMesh
+// ----------------------------------------------------------- RendezvousMesh
 
-void TcpMesh::teardown() {
+namespace {
+
+/// The peer closed its end before its hello arrived. The one bootstrap
+/// failure the dialer retries by type: the peer may be tearing down a
+/// previous incarnation. Anywhere else it is fatal like any other
+/// BspTransportError.
+struct HandshakeClosed final : BspTransportError {
+  using BspTransportError::BspTransportError;
+};
+
+int open_stream(int family, int me, int peer) {
+  const int fd = ::socket(family, SOCK_STREAM, 0);
+  if (fd < 0) {
+    throw BspTransportError(
+        std::string("socket(") + (family == AF_INET ? "AF_INET" : "AF_UNIX") +
+            ") failed",
+        me, peer, /*superstep=*/-1, /*stage=*/-1, errno, /*bytes_moved=*/0);
+  }
+  return fd;
+}
+
+}  // namespace
+
+void RendezvousMesh::teardown() {
   for (int& fd : fd_) {
     if (fd >= 0) ::close(fd);
     fd = -1;
@@ -230,59 +249,61 @@ void TcpMesh::teardown() {
   }
 }
 
-int TcpMesh::fd(int pid, int peer) const {
-  if (pid != cfg_.tcp_rank) return -1;  // only the local rank has endpoints
+int RendezvousMesh::fd(int pid, int peer) const {
+  if (pid != cfg_.rank) return -1;  // only the local rank has endpoints
   return fd_[static_cast<std::size_t>(peer)];
 }
 
-void TcpMesh::kill_endpoints(int pid) {
+void RendezvousMesh::kill_endpoints(int pid) {
   mark_dirty();
-  if (pid != cfg_.tcp_rank) return;
+  if (pid != cfg_.rank) return;
+  // shutdown, not close: peers observe EOF on their next read (or, on shm,
+  // on the death-check peek of the control stream), exactly as a real
+  // process death reads.
   for (int fd : fd_) {
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
 }
 
-void TcpMesh::send_hello(int fd, int peer) const {
+void RendezvousMesh::send_hello(int fd, int peer) const {
   RankHello h;
-  h.rank = static_cast<std::uint32_t>(cfg_.tcp_rank);
+  h.rank = static_cast<std::uint32_t>(cfg_.rank);
   h.nprocs = static_cast<std::uint32_t>(nprocs_);
   int err = 0;
   if (!write_full(fd, &h, sizeof(h), &err)) {
-    throw BspTransportError("failed to send the rank handshake",
-                            cfg_.tcp_rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
+    throw BspTransportError("failed to send the rank handshake", cfg_.rank,
+                            peer, /*superstep=*/-1, /*stage=*/-1, err,
+                            /*bytes_moved=*/0);
   }
 }
 
-RankHello TcpMesh::recv_hello(int fd, int peer) const {
+RankHello RendezvousMesh::recv_hello(int fd, int peer) const {
   RankHello h;
   int err = 0;
   if (!read_full(fd, &h, sizeof(h), &err)) {
     if (err == 0) {
-      throw BspTransportError(
+      throw HandshakeClosed(
           "peer closed the connection during the rank handshake (peer died "
           "during accept?)",
-          cfg_.tcp_rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+          cfg_.rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
           /*bytes_moved=*/0);
     }
     if (err == EAGAIN || err == EWOULDBLOCK) {
       throw BspTransportError(
           "rank handshake timed out after tcp_connect_timeout_ms=" +
               std::to_string(cfg_.tcp_connect_timeout_ms) + "ms",
-          cfg_.tcp_rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+          cfg_.rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
           /*bytes_moved=*/0);
     }
-    throw BspTransportError("failed to read the rank handshake",
-                            cfg_.tcp_rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
+    throw BspTransportError("failed to read the rank handshake", cfg_.rank,
+                            peer, /*superstep=*/-1, /*stage=*/-1, err,
+                            /*bytes_moved=*/0);
   }
   return h;
 }
 
-void TcpMesh::check_hello(const RankHello& h, int fd, int expect_rank) const {
-  (void)fd;
-  const int me = cfg_.tcp_rank;
+void RendezvousMesh::check_hello(const RankHello& h, int expect_rank) const {
+  const int me = cfg_.rank;
   if (h.magic != RankHello::kMagic) {
     char hex[32];
     std::snprintf(hex, sizeof(hex), "0x%016llx",
@@ -319,8 +340,9 @@ void TcpMesh::check_hello(const RankHello& h, int fd, int expect_rank) const {
     if (h.rank != static_cast<std::uint32_t>(expect_rank)) {
       throw BspTransportError(
           "rank handshake rank mismatch: expected rank " +
-              std::to_string(expect_rank) + " on this port, peer claims rank " +
-              std::to_string(h.rank) + " (port map skewed?)",
+              std::to_string(expect_rank) + " at " + where(expect_rank) +
+              ", peer claims rank " + std::to_string(h.rank) +
+              " (address map skewed, or two runs sharing one address?)",
           me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
           /*bytes_moved=*/0);
     }
@@ -347,121 +369,96 @@ void TcpMesh::check_hello(const RankHello& h, int fd, int expect_rank) const {
   }
 }
 
-void TcpMesh::do_build(int nprocs) {
-  const int me = cfg_.tcp_rank;
-  fd_.assign(static_cast<std::size_t>(nprocs), -1);
-
-  in_addr host_addr{};
-  if (::inet_pton(AF_INET, cfg_.tcp_host.c_str(), &host_addr) != 1) {
+int RendezvousMesh::dial(int j, Clock::time_point deadline) {
+  const int me = cfg_.rank;
+  sockaddr_storage sa{};
+  const socklen_t salen = address(j, &sa);
+  for (;;) {
+    if (Clock::now() >= deadline) {
+      throw BspTransportError(
+          "connect to rank " + std::to_string(j) + " at " + where(j) +
+              " timed out after tcp_connect_timeout_ms=" +
+              std::to_string(cfg_.tcp_connect_timeout_ms) +
+              "ms (rank never launched, or died during bootstrap?)",
+          me, j, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+          /*bytes_moved=*/0);
+    }
+    const int fd = open_stream(sa.ss_family, me, j);
+    set_io_timeout(fd, remaining_ms(deadline));
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), salen) == 0) {
+      // A peer that resets or closes underneath the handshake is treated
+      // like a refused connect and retried until the deadline. A malformed
+      // or mismatched hello is fatal, and so is a close in on_dialed: that
+      // peer validated our hello, committed to this build, and died.
+      try {
+        send_hello(fd, j);
+        check_hello(recv_hello(fd, j), /*expect_rank=*/j);
+        on_dialed(fd, j);
+        return fd;
+      } catch (const HandshakeClosed&) {
+        ::close(fd);
+      } catch (const BspTransportError& e) {
+        ::close(fd);
+        if (e.err != ECONNRESET && e.err != EPIPE) throw;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      continue;
+    }
+    const int cerr = errno;
+    ::close(fd);
+    // Refused (or, for an abstract AF_UNIX name, absent): that rank's
+    // listener is not up yet.
+    if (cerr == ECONNREFUSED || cerr == ENOENT || cerr == ETIMEDOUT ||
+        cerr == EINTR || cerr == EAGAIN || cerr == EINPROGRESS) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      continue;
+    }
     throw BspTransportError(
-        "tcp_host \"" + cfg_.tcp_host + "\" is not a numeric IPv4 address",
-        me, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
+        "connect to rank " + std::to_string(j) + " at " + where(j) +
+            " failed",
+        me, j, /*superstep=*/-1, /*stage=*/-1, cerr, /*bytes_moved=*/0);
   }
+}
+
+void RendezvousMesh::do_build(int nprocs) {
+  const int me = cfg_.rank;
+  fd_.assign(static_cast<std::size_t>(nprocs), -1);
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(cfg_.tcp_connect_timeout_ms);
 
-  // 1. Listener first, before any connect: across processes the bootstrap is
+  // 1. Listener first, before any dial: across processes the bootstrap is
   // deadlock-free because every rank's listener exists (or will shortly —
-  // connectors retry) before anyone blocks in accept.
-  const int my_port = cfg_.tcp_port + me;
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw BspTransportError("socket(AF_INET) failed", me, /*peer=*/-1,
-                            /*superstep=*/-1, /*stage=*/-1, errno,
-                            /*bytes_moved=*/0);
-  }
+  // dialers retry) before anyone blocks in accept.
+  sockaddr_storage sa{};
+  const socklen_t salen = address(me, &sa);
+  listen_fd_ = open_stream(sa.ss_family, me, /*peer=*/-1);
   const int one = 1;
-  // SO_REUSEADDR: a rebuild (wire-dirty retry) must re-bind the same port
-  // while the previous incarnation's accepted sockets sit in TIME_WAIT.
+  // SO_REUSEADDR: a TCP rebuild (wire-dirty retry) must re-bind the same
+  // port while the previous incarnation's accepted sockets sit in
+  // TIME_WAIT. Abstract AF_UNIX names vanish with their socket.
   (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr = host_addr;
-  sa.sin_port = htons(static_cast<std::uint16_t>(my_port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-    throw BspTransportError(
-        "bind(" + endpoint_str(cfg_.tcp_host, my_port) + ") for rank " +
-            std::to_string(me) + " failed (port already in use?)",
-        me, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, errno,
-        /*bytes_moved=*/0);
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sa), salen) != 0) {
+    throw BspTransportError("bind(" + where(me) + ") for rank " +
+                                std::to_string(me) + " failed (" +
+                                bind_hint() + ")",
+                            me, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
+                            errno, /*bytes_moved=*/0);
   }
   if (::listen(listen_fd_, nprocs) != 0) {
-    throw BspTransportError(
-        "listen(" + endpoint_str(cfg_.tcp_host, my_port) + ") failed", me,
-        /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, errno,
-        /*bytes_moved=*/0);
+    throw BspTransportError("listen(" + where(me) + ") failed", me,
+                            /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
+                            errno, /*bytes_moved=*/0);
   }
 
-  // 2. Connect to every lower rank's listener (the pair orientation: higher
-  // rank dials, lower rank answers). ECONNREFUSED just means that rank's
-  // listener is not up yet — retry until the deadline.
+  // 2. Dial every lower rank's listener (the pair orientation: higher rank
+  // dials, lower rank answers).
   for (int j = 0; j < me; ++j) {
-    const int peer_port = cfg_.tcp_port + j;
-    int fd = -1;
-    for (;;) {
-      if (Clock::now() >= deadline) {
-        throw BspTransportError(
-            "connect to rank " + std::to_string(j) + " at " +
-                endpoint_str(cfg_.tcp_host, peer_port) +
-                " timed out after tcp_connect_timeout_ms=" +
-                std::to_string(cfg_.tcp_connect_timeout_ms) +
-                "ms (rank never launched, or died during bootstrap?)",
-            me, j, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-            /*bytes_moved=*/0);
-      }
-      fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) {
-        throw BspTransportError("socket(AF_INET) failed", me, j,
-                                /*superstep=*/-1, /*stage=*/-1, errno,
-                                /*bytes_moved=*/0);
-      }
-      sockaddr_in pa{};
-      pa.sin_family = AF_INET;
-      pa.sin_addr = host_addr;
-      pa.sin_port = htons(static_cast<std::uint16_t>(peer_port));
-      set_io_timeout(fd, remaining_ms(deadline));
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&pa), sizeof(pa)) == 0) {
-        // Handshake: the dialing side speaks first. A peer that resets or
-        // closes underneath the handshake is treated like a refused connect
-        // (it may be tearing down a previous incarnation) and retried until
-        // the deadline; a malformed or mismatched hello is fatal.
-        try {
-          send_hello(fd, j);
-          const RankHello h = recv_hello(fd, j);
-          check_hello(h, fd, /*expect_rank=*/j);
-          break;
-        } catch (const BspTransportError& e) {
-          ::close(fd);
-          fd = -1;
-          if (e.err == ECONNRESET || e.err == EPIPE ||
-              (e.err == 0 && std::string(e.what()).find("peer closed") !=
-                                 std::string::npos)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            continue;
-          }
-          throw;
-        }
-      }
-      const int cerr = errno;
-      ::close(fd);
-      fd = -1;
-      if (cerr == ECONNREFUSED || cerr == ETIMEDOUT || cerr == EINTR ||
-          cerr == EAGAIN || cerr == EINPROGRESS) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        continue;
-      }
-      throw BspTransportError(
-          "connect to rank " + std::to_string(j) + " at " +
-              endpoint_str(cfg_.tcp_host, peer_port) + " failed",
-          me, j, /*superstep=*/-1, /*stage=*/-1, cerr, /*bytes_moved=*/0);
-    }
-    fd_[static_cast<std::size_t>(j)] = fd;
+    fd_[static_cast<std::size_t>(j)] = dial(j, deadline);
   }
 
-  // 3. Accept every higher rank. The hello tells us who dialed in; a
-  // connection that fails its handshake fails the whole bootstrap — the
-  // caller tears down and (on retry) rebuilds from scratch.
+  // 3. Accept every higher rank. The hello tells us who dialed in; a link
+  // that fails its handshake fails the whole bootstrap — the caller tears
+  // down and (on retry) rebuilds from scratch.
   int expected = nprocs - 1 - me;
   while (expected > 0) {
     pollfd pfd{listen_fd_, POLLIN, 0};
@@ -474,8 +471,8 @@ void TcpMesh::do_build(int nprocs) {
     }
     if (pr == 0) {
       throw BspTransportError(
-          "accept on " + endpoint_str(cfg_.tcp_host, my_port) +
-              " timed out with " + std::to_string(expected) +
+          "accept on " + where(me) + " timed out with " +
+              std::to_string(expected) +
               " rank(s) still unconnected (tcp_connect_timeout_ms=" +
               std::to_string(cfg_.tcp_connect_timeout_ms) + "ms)",
           me, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
@@ -484,41 +481,64 @@ void TcpMesh::do_build(int nprocs) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
-      throw BspTransportError("accept failed", me, /*peer=*/-1,
-                              /*superstep=*/-1, /*stage=*/-1, errno,
-                              /*bytes_moved=*/0);
+      throw BspTransportError("accept on " + where(me) + " failed", me,
+                              /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
+                              errno, /*bytes_moved=*/0);
     }
     set_io_timeout(fd, remaining_ms(deadline));
-    RankHello h;
     try {
-      h = recv_hello(fd, /*peer=*/-1);
-      check_hello(h, fd, /*expect_rank=*/-1);
+      const RankHello h = recv_hello(fd, /*peer=*/-1);
+      check_hello(h, /*expect_rank=*/-1);
       send_hello(fd, static_cast<int>(h.rank));
+      on_accepted(fd, static_cast<int>(h.rank));
+      fd_[h.rank] = fd;
     } catch (...) {
       ::close(fd);
       throw;
     }
-    fd_[h.rank] = fd;
     --expected;
   }
-  // Bootstrap complete: close the listener so nothing can dial in mid-run
-  // (a skewed retry attempt gets ECONNREFUSED and keeps retrying until this
-  // rank reaches its own rebuild).
+  // 4. Bootstrap complete: close the listener so nothing can dial in mid-run
+  // (a skewed retry attempt gets refused and keeps retrying until this rank
+  // reaches its own rebuild).
   ::close(listen_fd_);
   listen_fd_ = -1;
 
-  // 4. Stage-traffic socket options, now that the blocking handshake is done.
   for (int j = 0; j < nprocs; ++j) {
     const int fd = fd_[static_cast<std::size_t>(j)];
     if (fd < 0) continue;
-    set_io_timeout(fd, 0);  // back to no-timeout; stage I/O is non-blocking
-    // The staged exchange writes small control sections (24 B preamble)
-    // followed by bulk payload; Nagle would hold the control bytes hostage
-    // to the previous stage's ACKs.
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    apply_endpoint_options(fd);
-    seed_buffer_marks(me, j);
+    set_io_timeout(fd, 0);  // stage I/O is non-blocking, never timed out
+    finish_endpoint(fd, j);
   }
+}
+
+// ----------------------------------------------------------------- TcpMesh
+
+socklen_t TcpMesh::address(int rank, sockaddr_storage* ss) const {
+  auto* sa = reinterpret_cast<sockaddr_in*>(ss);
+  sa->sin_family = AF_INET;
+  if (::inet_pton(AF_INET, cfg_.tcp_host.c_str(), &sa->sin_addr) != 1) {
+    throw BspTransportError(
+        "tcp_host \"" + cfg_.tcp_host + "\" is not a numeric IPv4 address",
+        cfg_.rank, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        /*bytes_moved=*/0);
+  }
+  sa->sin_port = htons(static_cast<std::uint16_t>(cfg_.tcp_port + rank));
+  return sizeof(sockaddr_in);
+}
+
+std::string TcpMesh::where(int rank) const {
+  return cfg_.tcp_host + ":" + std::to_string(cfg_.tcp_port + rank);
+}
+
+void TcpMesh::finish_endpoint(int fd, int peer) {
+  // The staged exchange writes small control sections (24 B preamble)
+  // followed by bulk payload; Nagle would hold the control bytes hostage to
+  // the previous stage's ACKs.
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  apply_endpoint_options(fd);
+  seed_buffer_marks(cfg_.rank, peer);
 }
 
 // ----------------------------------------------------------------- ShmMesh
@@ -541,21 +561,6 @@ std::size_t shm_dir_bytes(const Config& cfg) {
 /// Whole pair segment: header page + both direction blocks.
 std::size_t shm_segment_bytes(const Config& cfg) {
   return kShmPage + 2 * shm_dir_bytes(cfg);
-}
-
-/// Abstract-namespace AF_UNIX address of `rank`'s bootstrap listener:
-/// "\0gbsp-shm.<shm_name>.<rank>". Abstract sockets vanish with their owning
-/// process, so a crashed run leaves nothing on the filesystem to unlink.
-socklen_t shm_abstract_addr(const Config& cfg, int rank, sockaddr_un* sa) {
-  std::memset(sa, 0, sizeof(*sa));
-  sa->sun_family = AF_UNIX;
-  const std::string tag =
-      "gbsp-shm." + cfg.shm_name + "." + std::to_string(rank);
-  // sun_path[0] stays NUL (abstract namespace); shm_name is capped at 64
-  // bytes by Config::validate, so the tag always fits sun_path.
-  std::memcpy(sa->sun_path + 1, tag.data(), tag.size());
-  return static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
-                                tag.size());
 }
 
 /// Passes the pair segment's memfd plus its announced byte length over the
@@ -666,149 +671,87 @@ int recv_fd_with_len(int sock, std::uint64_t* seg_len, int me, int peer,
 }  // namespace
 
 void ShmMesh::teardown() {
-  for (int& fd : ctrl_) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
+  RendezvousMesh::teardown();
   for (Mapping& m : maps_) {
     if (m.base != nullptr) ::munmap(m.base, m.len);
     m = Mapping{};
   }
   pairs_.assign(pairs_.size(), ShmPairView{});
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-int ShmMesh::fd(int pid, int peer) const {
-  if (pid != cfg_.shm_rank) return -1;  // only the local rank has endpoints
-  return ctrl_[static_cast<std::size_t>(peer)];
-}
-
-void ShmMesh::kill_endpoints(int pid) {
-  mark_dirty();
-  if (pid != cfg_.shm_rank) return;
-  // shutdown, not close: the peer's engine observes EOF on its death-check
-  // peek of the control stream, exactly as a real process death reads.
-  for (int fd : ctrl_) {
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-  }
 }
 
 ShmPairView* ShmMesh::shm_pair(int pid, int peer) {
-  if (pid != cfg_.shm_rank || peer == pid) return nullptr;
+  if (pid != cfg_.rank || peer == pid) return nullptr;
   if (peer < 0 || peer >= nprocs_) return nullptr;
   if (maps_[static_cast<std::size_t>(peer)].base == nullptr) return nullptr;
   return &pairs_[static_cast<std::size_t>(peer)];
 }
 
-void ShmMesh::send_hello(int fd, int peer) const {
-  RankHello h;
-  h.rank = static_cast<std::uint32_t>(cfg_.shm_rank);
-  h.nprocs = static_cast<std::uint32_t>(nprocs_);
-  int err = 0;
-  if (!write_full(fd, &h, sizeof(h), &err)) {
-    throw BspTransportError("failed to send the rank handshake",
-                            cfg_.shm_rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
-  }
+void ShmMesh::do_build(int nprocs) {
+  const std::size_t p = static_cast<std::size_t>(nprocs);
+  pairs_.assign(p, ShmPairView{});
+  maps_.assign(p, Mapping{});
+  RendezvousMesh::do_build(nprocs);
 }
 
-RankHello ShmMesh::recv_hello(int fd, int peer) const {
-  RankHello h;
-  int err = 0;
-  if (!read_full(fd, &h, sizeof(h), &err)) {
-    if (err == 0) {
-      throw BspTransportError(
-          "peer closed the connection during the rank handshake (peer died "
-          "during accept?)",
-          cfg_.shm_rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    if (err == EAGAIN || err == EWOULDBLOCK) {
-      throw BspTransportError(
-          "rank handshake timed out after tcp_connect_timeout_ms=" +
-              std::to_string(cfg_.tcp_connect_timeout_ms) + "ms",
-          cfg_.shm_rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    throw BspTransportError("failed to read the rank handshake",
-                            cfg_.shm_rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
-  }
-  return h;
+socklen_t ShmMesh::address(int rank, sockaddr_storage* ss) const {
+  // Abstract namespace: sun_path[0] stays NUL, so a crashed run leaves
+  // nothing on the filesystem to unlink. shm_name is capped at 64 bytes by
+  // validate_config, so the tag always fits sun_path.
+  auto* sa = reinterpret_cast<sockaddr_un*>(ss);
+  sa->sun_family = AF_UNIX;
+  const std::string tag =
+      "gbsp-shm." + cfg_.shm_name + "." + std::to_string(rank);
+  std::memcpy(sa->sun_path + 1, tag.data(), tag.size());
+  return static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
+                                tag.size());
 }
 
-void ShmMesh::check_hello(const RankHello& h, int expect_rank) const {
-  const int me = cfg_.shm_rank;
-  if (h.magic != RankHello::kMagic) {
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "0x%016llx",
-                  static_cast<unsigned long long>(h.magic));
-    throw BspTransportError(
-        std::string("rank handshake has bad magic ") + hex +
-            " — the peer is not a gbsp mesh rank (or a byte-order mismatch)",
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.version != RankHello::kVersion) {
-    throw BspTransportError(
-        "rank handshake version mismatch: peer speaks mesh protocol v" +
-            std::to_string(h.version) + ", this build expects v" +
-            std::to_string(RankHello::kVersion),
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.reserved != 0) {
-    throw BspTransportError(
-        "rank handshake has nonzero reserved field (stream corruption?)", me,
-        expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.nprocs != static_cast<std::uint32_t>(nprocs_)) {
-    throw BspTransportError(
-        "rank handshake nprocs mismatch: peer was launched with " +
-            std::to_string(h.nprocs) + " ranks, this rank with " +
-            std::to_string(nprocs_),
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (expect_rank >= 0) {
-    if (h.rank != static_cast<std::uint32_t>(expect_rank)) {
+std::string ShmMesh::where(int rank) const {
+  return "abstract socket \"gbsp-shm." + cfg_.shm_name + "." +
+         std::to_string(rank) + "\"";
+}
+
+std::string ShmMesh::bind_hint() const {
+  return "another rank " + std::to_string(cfg_.rank) +
+         " already running under this shm_name?";
+}
+
+void ShmMesh::on_dialed(int fd, int peer) {
+  std::uint64_t seg_len = 0;
+  const int seg_fd = recv_fd_with_len(fd, &seg_len, cfg_.rank, peer,
+                                      cfg_.tcp_connect_timeout_ms);
+  try {
+    if (seg_len != shm_segment_bytes(cfg_)) {
       throw BspTransportError(
-          "rank handshake rank mismatch: expected rank " +
-              std::to_string(expect_rank) +
-              " on this socket, peer claims rank " + std::to_string(h.rank) +
-              " (shm_name collision between runs?)",
-          me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+          "shm segment size mismatch: rank " + std::to_string(peer) +
+              " announced " + std::to_string(seg_len) +
+              " bytes, this rank's shm_ring_bytes/shm_slab_bytes expect " +
+              std::to_string(shm_segment_bytes(cfg_)) +
+              " (ranks launched with different configs?)",
+          cfg_.rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
           /*bytes_moved=*/0);
     }
-    return;
+    adopt_segment(seg_fd, peer);
+  } catch (...) {
+    ::close(seg_fd);
+    throw;
   }
-  // Accept side: any higher rank we have not accepted yet.
-  if (h.rank >= static_cast<std::uint32_t>(nprocs_) ||
-      static_cast<int>(h.rank) <= me) {
-    throw BspTransportError(
-        "rank handshake rank mismatch: accepted a connection claiming rank " +
-            std::to_string(h.rank) + ", but rank " + std::to_string(me) +
-            " of " + std::to_string(nprocs_) +
-            " only accepts from higher ranks",
-        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
-        /*err=*/0, /*bytes_moved=*/0);
+  ::close(seg_fd);  // the mapping outlives the fd
+}
+
+void ShmMesh::on_accepted(int fd, int peer) {
+  const int seg_fd = create_segment(peer);
+  try {
+    send_fd_with_len(fd, seg_fd, shm_segment_bytes(cfg_), cfg_.rank, peer);
+  } catch (...) {
+    ::close(seg_fd);
+    throw;
   }
-  if (ctrl_[h.rank] >= 0) {
-    throw BspTransportError(
-        "duplicate rank handshake: rank " + std::to_string(h.rank) +
-            " connected twice (two processes launched with the same "
-            "GBSP_RANK?)",
-        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
-        /*err=*/0, /*bytes_moved=*/0);
-  }
+  ::close(seg_fd);
 }
 
 int ShmMesh::create_segment(int peer) {
-  const int me = cfg_.shm_rank;
+  const int me = cfg_.rank;
   const std::size_t len = shm_segment_bytes(cfg_);
   const std::string tag = "gbsp-shm." + cfg_.shm_name + "." +
                           std::to_string(std::min(me, peer)) + "-" +
@@ -853,7 +796,7 @@ int ShmMesh::create_segment(int peer) {
 }
 
 void ShmMesh::adopt_segment(int seg_fd, int peer) {
-  const int me = cfg_.shm_rank;
+  const int me = cfg_.rank;
   struct stat st {};
   if (::fstat(seg_fd, &st) != 0) {
     throw BspTransportError("fstat of the received shm segment fd failed", me,
@@ -915,7 +858,7 @@ void ShmMesh::adopt_segment(int seg_fd, int peer) {
 }
 
 void ShmMesh::wire_views(void* base, int peer) {
-  const int me = cfg_.shm_rank;
+  const int me = cfg_.rank;
   const std::size_t dir = shm_dir_bytes(cfg_);
   std::byte* b = static_cast<std::byte*>(base);
   const auto view = [&](std::size_t off) {
@@ -936,187 +879,6 @@ void ShmMesh::wire_views(void* base, int peer) {
   } else {
     pv.send = d1;
     pv.recv = d0;
-  }
-}
-
-void ShmMesh::do_build(int nprocs) {
-  const int me = cfg_.shm_rank;
-  const std::size_t p = static_cast<std::size_t>(nprocs);
-  ctrl_.assign(p, -1);
-  pairs_.assign(p, ShmPairView{});
-  maps_.assign(p, Mapping{});
-
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(cfg_.tcp_connect_timeout_ms);
-
-  // 1. Listener first — the same deadlock-free shape as the TCP bootstrap:
-  // every rank's listener exists (or shortly will; dialers retry) before
-  // anyone blocks in accept.
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw BspTransportError("socket(AF_UNIX) failed", me, /*peer=*/-1,
-                            /*superstep=*/-1, /*stage=*/-1, errno,
-                            /*bytes_moved=*/0);
-  }
-  sockaddr_un sa;
-  const socklen_t salen = shm_abstract_addr(cfg_, me, &sa);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sa), salen) != 0) {
-    throw BspTransportError(
-        "bind of abstract socket \"gbsp-shm." + cfg_.shm_name + "." +
-            std::to_string(me) + "\" failed (another rank " +
-            std::to_string(me) + " already running under this shm_name?)",
-        me, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, errno,
-        /*bytes_moved=*/0);
-  }
-  if (::listen(listen_fd_, nprocs) != 0) {
-    throw BspTransportError("listen on the shm bootstrap socket failed", me,
-                            /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
-                            errno, /*bytes_moved=*/0);
-  }
-
-  // 2. Dial every lower rank's listener; after the hello exchange the lower
-  // rank hands over the pair segment's memfd, which this side maps and
-  // validates. ECONNREFUSED just means that rank's listener is not up yet.
-  for (int j = 0; j < me; ++j) {
-    int fd = -1;
-    for (;;) {
-      if (Clock::now() >= deadline) {
-        throw BspTransportError(
-            "connect to rank " + std::to_string(j) +
-                "'s shm bootstrap socket timed out after "
-                "tcp_connect_timeout_ms=" +
-                std::to_string(cfg_.tcp_connect_timeout_ms) +
-                "ms (rank never launched, or died during bootstrap?)",
-            me, j, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-            /*bytes_moved=*/0);
-      }
-      fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      if (fd < 0) {
-        throw BspTransportError("socket(AF_UNIX) failed", me, j,
-                                /*superstep=*/-1, /*stage=*/-1, errno,
-                                /*bytes_moved=*/0);
-      }
-      sockaddr_un pa;
-      const socklen_t palen = shm_abstract_addr(cfg_, j, &pa);
-      set_io_timeout(fd, remaining_ms(deadline));
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&pa), palen) == 0) {
-        // A peer that closes underneath the HANDSHAKE may be tearing down a
-        // previous incarnation — retry like a refused connect. A close
-        // during the segment HANDOFF (after a validated hello) is fatal:
-        // that peer committed to this build and died.
-        try {
-          send_hello(fd, j);
-          const RankHello h = recv_hello(fd, j);
-          check_hello(h, /*expect_rank=*/j);
-          std::uint64_t seg_len = 0;
-          const int seg_fd = recv_fd_with_len(fd, &seg_len, me, j,
-                                              cfg_.tcp_connect_timeout_ms);
-          try {
-            if (seg_len != shm_segment_bytes(cfg_)) {
-              throw BspTransportError(
-                  "shm segment size mismatch: rank " + std::to_string(j) +
-                      " announced " + std::to_string(seg_len) +
-                      " bytes, this rank's shm_ring_bytes/shm_slab_bytes "
-                      "expect " +
-                      std::to_string(shm_segment_bytes(cfg_)) +
-                      " (ranks launched with different configs?)",
-                  me, j, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-                  /*bytes_moved=*/0);
-            }
-            adopt_segment(seg_fd, j);
-          } catch (...) {
-            ::close(seg_fd);
-            throw;
-          }
-          ::close(seg_fd);  // the mapping outlives the fd
-          break;
-        } catch (const BspTransportError& e) {
-          ::close(fd);
-          fd = -1;
-          if (e.err == ECONNRESET || e.err == EPIPE ||
-              (e.err == 0 &&
-               std::string(e.what()).find(
-                   "peer closed the connection during the rank handshake") !=
-                   std::string::npos)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            continue;
-          }
-          throw;
-        }
-      }
-      const int cerr = errno;
-      ::close(fd);
-      fd = -1;
-      if (cerr == ECONNREFUSED || cerr == ENOENT || cerr == ETIMEDOUT ||
-          cerr == EINTR || cerr == EAGAIN) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        continue;
-      }
-      throw BspTransportError(
-          "connect to rank " + std::to_string(j) +
-              "'s shm bootstrap socket failed",
-          me, j, /*superstep=*/-1, /*stage=*/-1, cerr, /*bytes_moved=*/0);
-    }
-    ctrl_[static_cast<std::size_t>(j)] = fd;
-  }
-
-  // 3. Accept every higher rank; this side creates each pair's segment and
-  // passes the fd. A failed handshake or handoff fails the whole bootstrap.
-  int expected = nprocs - 1 - me;
-  while (expected > 0) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, remaining_ms(deadline));
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      throw BspTransportError("poll on the shm bootstrap listener failed", me,
-                              /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
-                              errno, /*bytes_moved=*/0);
-    }
-    if (pr == 0) {
-      throw BspTransportError(
-          "accept on abstract socket \"gbsp-shm." + cfg_.shm_name + "." +
-              std::to_string(me) + "\" timed out with " +
-              std::to_string(expected) +
-              " rank(s) still unconnected (tcp_connect_timeout_ms=" +
-              std::to_string(cfg_.tcp_connect_timeout_ms) + "ms)",
-          me, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      throw BspTransportError("accept on the shm bootstrap socket failed", me,
-                              /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
-                              errno, /*bytes_moved=*/0);
-    }
-    set_io_timeout(fd, remaining_ms(deadline));
-    int seg_fd = -1;
-    try {
-      const RankHello h = recv_hello(fd, /*peer=*/-1);
-      check_hello(h, /*expect_rank=*/-1);
-      send_hello(fd, static_cast<int>(h.rank));
-      seg_fd = create_segment(static_cast<int>(h.rank));
-      send_fd_with_len(fd, seg_fd, shm_segment_bytes(cfg_), me,
-                       static_cast<int>(h.rank));
-      ::close(seg_fd);
-      seg_fd = -1;
-      ctrl_[h.rank] = fd;
-    } catch (...) {
-      if (seg_fd >= 0) ::close(seg_fd);
-      ::close(fd);
-      throw;
-    }
-    --expected;
-  }
-  // Bootstrap complete: close the listener so nothing can dial in mid-run.
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-
-  // 4. The control streams carry no stage traffic; drop the handshake
-  // timeout so the engine's death-detection peek never sees a spurious
-  // timeout errno.
-  for (std::size_t j = 0; j < p; ++j) {
-    if (ctrl_[j] >= 0) set_io_timeout(ctrl_[j], 0);
   }
 }
 

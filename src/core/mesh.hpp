@@ -7,30 +7,29 @@
 // staged-exchange engine (core/exchange_engine.hpp) pumps bytes through
 // whatever fds the mesh hands it. This is the seam that lets the same v2
 // sectioned wire format run over in-process AF_UNIX socketpairs and over
-// AF_INET/TCP between separate OS processes.
+// AF_INET/TCP or shared memory between separate OS processes.
 //
-// Two implementations:
+// Three implementations, one per mesh delivery (MeshTransport picks one):
 //
-//   * SocketpairMesh — the in-process mesh: all p ranks live in this process
-//     as threads, and each (i, j) pair is an AF_UNIX SOCK_STREAM socketpair
-//     ("loopback TCP" without the port bookkeeping; same syscalls, same
-//     partial-I/O behaviour).
+//   * SocketpairMesh (Socket) — the in-process mesh: all p ranks live in
+//     this process as threads, and each (i, j) pair is an AF_UNIX
+//     SOCK_STREAM socketpair ("loopback TCP" without the port bookkeeping;
+//     same syscalls, same partial-I/O behaviour).
 //
-//   * TcpMesh — the cross-process mesh: this process is exactly one rank of
-//     a p-process run (launched by tools/bsp_launch). Rank r listens on
-//     tcp_port + r; every pair (i, j) with i < j is one TCP connection that
-//     the higher rank initiates (connect, retrying while the listener comes
-//     up) and the lower rank accepts. Both ends exchange a versioned
-//     RankHello and validate it bidirectionally before the connection joins
-//     the mesh; TCP_NODELAY is set on every endpoint so the staged
-//     exchange's small control sections are not Nagle-delayed.
+//   * TcpMesh (Tcp) and ShmMesh (Shm) — the cross-process meshes: this
+//     process is exactly one rank of a p-process run (launched by
+//     tools/bsp_launch). Both bootstrap through the one RendezvousMesh
+//     listen/dial/accept sweep with a versioned RankHello; they differ only
+//     in the listener address (AF_INET host:port+r vs an abstract AF_UNIX
+//     name), the shm segment handoff after the hello, and the per-endpoint
+//     finish.
 //
 // Dirty-wire contract (shared with the transports): a mesh starts dirty, so
 // the first build() happens on the first reset_run(). A worker that unwinds
 // mid-stage calls mark_dirty() (possible half-written stage bytes in kernel
-// buffers or, for TCP, a desynchronised peer), and the next reset_run()
-// rebuilds from scratch. Clean runs reuse the mesh as-is — builds() stays
-// flat, which the reuse tests assert.
+// buffers or, across processes, a desynchronised peer), and the next
+// reset_run() rebuilds from scratch. Clean runs reuse the mesh as-is —
+// builds() stays flat, which the reuse tests assert.
 //
 // Kernel buffer sizing lives here because it is an endpoint property: the
 // engine reports each stage's expected byte count and the mesh grows
@@ -38,9 +37,13 @@
 // bounded, unless Config::socket_buffer_bytes pinned the size at build.
 #pragma once
 
+#include <sys/socket.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/config.hpp"
@@ -74,8 +77,8 @@ class Mesh {
   virtual void teardown() = 0;
 
   /// The local end of pid's full-duplex stream with peer, or -1 for self
-  /// (stage 0 is self-delivery and never touches the wire). For TcpMesh,
-  /// pid must be the local rank.
+  /// (stage 0 is self-delivery and never touches the wire). For the
+  /// cross-process meshes, pid must be the local rank.
   [[nodiscard]] virtual int fd(int pid, int peer) const = 0;
 
   /// Fault hook: hard-shutdown (not close) of every endpoint `pid` owns, as
@@ -114,7 +117,7 @@ class Mesh {
   [[nodiscard]] int nprocs() const { return nprocs_; }
 
  protected:
-  /// Implementation bootstrap: create (and for TCP, connect/accept +
+  /// Implementation bootstrap: create (and across processes, rendezvous +
   /// handshake) every endpoint. Throws BspTransportError on failure; build()
   /// handles teardown and bookkeeping.
   virtual void do_build(int nprocs) = 0;
@@ -169,10 +172,11 @@ class SocketpairMesh final : public Mesh {
 };
 
 /// On-wire rank handshake exchanged (both directions) on every freshly
-/// connected TCP mesh link, before it carries stage traffic. The magic
-/// doubles as a byte-order sentinel: a peer of different endianness (or a
-/// stray client that is not a gbsp rank) fails the magic check with a
-/// descriptive error instead of desynchronising the stage protocol.
+/// connected link of a cross-process mesh, before it carries stage traffic.
+/// The magic doubles as a byte-order sentinel: a peer of different
+/// endianness (or a stray client that is not a gbsp rank) fails the magic
+/// check with a descriptive error instead of desynchronising the stage
+/// protocol.
 struct RankHello {
   static constexpr std::uint64_t kMagic = 0x4853454D50534247ULL;  // "GBSPMESH"
   static constexpr std::uint32_t kVersion = 1;
@@ -185,40 +189,93 @@ struct RankHello {
 };
 static_assert(sizeof(RankHello) == 24, "rank handshake layout drifted");
 
-/// Cross-process mesh: this process is rank Config::tcp_rank of an nprocs
-/// process run. Bootstrap: every rank listens on tcp_port + rank (numeric
-/// IPv4 Config::tcp_host, SO_REUSEADDR); for each pair the higher rank
-/// connects to the lower rank's listener, retrying ECONNREFUSED until
-/// Config::tcp_connect_timeout_ms, and both ends exchange + validate a
-/// RankHello. The listener closes once every expected peer is connected.
-class TcpMesh final : public Mesh {
+/// Cross-process mesh: this process is rank Config::rank of an nprocs
+/// process run, holding one stream per peer. Both process meshes share this
+/// one rendezvous, run with Config::tcp_connect_timeout_ms as its deadline:
+///
+///   1. listen on this rank's address (before any dial, so every listener
+///      exists — or shortly will; dialers retry — before anyone accepts);
+///   2. dial every lower rank, retrying refused connects and handshakes the
+///      peer closes (it may be tearing down a previous incarnation), and
+///      exchange + validate a RankHello — the dialing side speaks first;
+///   3. accept every higher rank, whose hello names it;
+///   4. close the listener, so nothing dials in mid-run.
+///
+/// A subclass supplies only what differs: the listener address, the step
+/// after a validated hello on each side (on_dialed / on_accepted), and the
+/// per-endpoint finish once the rendezvous completes.
+class RendezvousMesh : public Mesh {
  public:
-  explicit TcpMesh(const Config& cfg) : Mesh(cfg) {}
-  ~TcpMesh() override { TcpMesh::teardown(); }
+  explicit RendezvousMesh(const Config& cfg) : Mesh(cfg) {}
+  ~RendezvousMesh() override { RendezvousMesh::teardown(); }
 
-  [[nodiscard]] const char* name() const override { return "tcp"; }
   void teardown() override;
+  /// pid must be the local rank; any other pid has no endpoints here (-1).
   [[nodiscard]] int fd(int pid, int peer) const override;
   void kill_endpoints(int pid) override;
-
-  [[nodiscard]] int local_rank() const { return cfg_.tcp_rank; }
 
  protected:
   void do_build(int nprocs) override;
 
+  /// Writes `rank`'s listener address into *sa (zeroed by the caller) and
+  /// returns its length.
+  virtual socklen_t address(int rank, sockaddr_storage* sa) const = 0;
+  /// `rank`'s listener as error messages name it.
+  [[nodiscard]] virtual std::string where(int rank) const = 0;
+  /// The likely reason binding this rank's own address failed.
+  [[nodiscard]] virtual std::string bind_hint() const = 0;
+  /// Runs on a link right after its hello validated: `fd` is still blocking
+  /// with the bootstrap deadline as its I/O timeout.
+  virtual void on_dialed(int fd, int peer) {
+    (void)fd;
+    (void)peer;
+  }
+  virtual void on_accepted(int fd, int peer) {
+    (void)fd;
+    (void)peer;
+  }
+  /// Runs on every endpoint once the rendezvous completed and the
+  /// bootstrap I/O timeout is cleared.
+  virtual void finish_endpoint(int fd, int peer) {
+    (void)fd;
+    (void)peer;
+  }
+
  private:
-  /// Blocking-with-deadline exact read/write of a RankHello on a freshly
-  /// connected link (the only blocking I/O in the system; stage traffic is
-  /// non-blocking). `peer` is -1 when the sender's rank is not yet known.
+  /// Dials `peer`'s listener until the deadline and returns the validated
+  /// link.
+  int dial(int peer, std::chrono::steady_clock::time_point deadline);
+  /// Blocking-with-deadline exact write/read of a RankHello (the only
+  /// blocking I/O in the system; stage traffic is non-blocking). `peer` is
+  /// -1 when the sender's rank is not yet known.
   void send_hello(int fd, int peer) const;
   [[nodiscard]] RankHello recv_hello(int fd, int peer) const;
-  /// Shared validation of a received hello; `expect_rank` is -1 on the
-  /// accept side (any not-yet-connected higher rank is admissible).
-  void check_hello(const RankHello& h, int fd, int expect_rank) const;
+  /// Validates a received hello; `expect_rank` is -1 on the accept side
+  /// (any not-yet-connected higher rank is admissible).
+  void check_hello(const RankHello& h, int expect_rank) const;
 
   // fd_[j]: the local rank's stream with rank j; -1 for self and unbuilt.
   std::vector<int> fd_;
   int listen_fd_ = -1;
+};
+
+/// TCP mesh: every rank listens on tcp_port + rank (numeric IPv4
+/// Config::tcp_host, SO_REUSEADDR), so each pair (i, j) with i < j is one
+/// TCP connection the higher rank dials. Every endpoint gets TCP_NODELAY,
+/// so the staged exchange's small control sections are not Nagle-delayed.
+class TcpMesh final : public RendezvousMesh {
+ public:
+  explicit TcpMesh(const Config& cfg) : RendezvousMesh(cfg) {}
+
+  [[nodiscard]] const char* name() const override { return "tcp"; }
+
+ protected:
+  socklen_t address(int rank, sockaddr_storage* sa) const override;
+  [[nodiscard]] std::string where(int rank) const override;
+  [[nodiscard]] std::string bind_hint() const override {
+    return "port already in use?";
+  }
+  void finish_endpoint(int fd, int peer) override;
 };
 
 /// Header page of one shm pair segment, written by the creating (lower)
@@ -239,35 +296,35 @@ struct ShmSegmentHdr {
 };
 static_assert(sizeof(ShmSegmentHdr) == 40, "shm segment header drifted");
 
-/// Cross-process shared-memory mesh: this process is rank Config::shm_rank
-/// of an nprocs-process run on ONE host. Bootstrap reuses the TCP mesh's
-/// shape over abstract AF_UNIX sockets ("\0gbsp-shm.<shm_name>.<rank>"):
-/// the higher rank of each pair dials the lower rank's listener, both ends
-/// exchange + validate a RankHello, then the lower rank creates the pair's
-/// memfd segment (header + two direction blocks of ring/slab, see
-/// core/shm_ring.hpp) and passes the fd over the stream with SCM_RIGHTS.
-/// Both ends mmap it and keep the AF_UNIX stream open as a control channel:
-/// it carries no data, but EOF on it is how a peer's death (or an injected
-/// PeerHangup) is observed without putting a single syscall on the data
-/// path, and kill_endpoints() shuts it down. fd(pid, peer) returns that
-/// control fd.
-class ShmMesh final : public Mesh {
+/// Shared-memory mesh: the same rendezvous over abstract AF_UNIX sockets
+/// ("\0gbsp-shm.<shm_name>.<rank>") on ONE host. After the hello the lower
+/// rank of each pair creates the pair's memfd segment (header + two
+/// direction blocks of ring/slab, see core/shm_ring.hpp) and passes the fd
+/// over the stream with SCM_RIGHTS; the higher rank maps and validates it.
+/// Both ends keep the AF_UNIX stream open as a control channel: it carries
+/// no data, but EOF on it is how a peer's death (or an injected PeerHangup)
+/// is observed without putting a single syscall on the data path, and
+/// kill_endpoints() shuts it down. fd(pid, peer) returns that control fd.
+class ShmMesh final : public RendezvousMesh {
  public:
-  explicit ShmMesh(const Config& cfg) : Mesh(cfg) {}
+  explicit ShmMesh(const Config& cfg) : RendezvousMesh(cfg) {}
   ~ShmMesh() override { ShmMesh::teardown(); }
 
   [[nodiscard]] const char* name() const override { return "shm"; }
   void teardown() override;
-  [[nodiscard]] int fd(int pid, int peer) const override;
-  void kill_endpoints(int pid) override;
   /// The data path is shared memory; there are no kernel buffers to size.
   void grow_kernel_buffer(int, int, bool, std::size_t) override {}
   [[nodiscard]] ShmPairView* shm_pair(int pid, int peer) override;
 
-  [[nodiscard]] int local_rank() const { return cfg_.shm_rank; }
-
  protected:
   void do_build(int nprocs) override;
+  socklen_t address(int rank, sockaddr_storage* sa) const override;
+  [[nodiscard]] std::string where(int rank) const override;
+  [[nodiscard]] std::string bind_hint() const override;
+  /// Receives, maps and validates the pair segment the lower rank passes.
+  void on_dialed(int fd, int peer) override;
+  /// Creates the pair segment and passes its fd to the dialing rank.
+  void on_accepted(int fd, int peer) override;
 
  private:
   struct Mapping {
@@ -275,9 +332,6 @@ class ShmMesh final : public Mesh {
     std::size_t len = 0;
   };
 
-  void send_hello(int fd, int peer) const;
-  [[nodiscard]] RankHello recv_hello(int fd, int peer) const;
-  void check_hello(const RankHello& h, int peer) const;
   /// Creates, sizes and maps the pair segment with `peer` (lower-rank side),
   /// initialises its header and control blocks, and returns the memfd (the
   /// caller passes it to the peer and closes it).
@@ -288,12 +342,8 @@ class ShmMesh final : public Mesh {
   /// Slices a mapped segment into the two ShmDirViews of `peer`'s pair.
   void wire_views(void* base, int peer);
 
-  // ctrl_[j]: the bootstrap AF_UNIX stream with rank j, kept open as the
-  // death-detection control channel; -1 for self and unbuilt.
-  std::vector<int> ctrl_;
   std::vector<ShmPairView> pairs_;  // indexed by peer rank
   std::vector<Mapping> maps_;       // indexed by peer rank
-  int listen_fd_ = -1;
 };
 
 }  // namespace detail

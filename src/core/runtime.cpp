@@ -374,7 +374,7 @@ void Runtime::watchdog_main() {
 
 void Runtime::worker_main(int local, const std::function<void(Worker&)>& fn) {
   // `local` indexes states_; st.pid is the global rank (they differ only in
-  // process mode, where the one local state carries Config::tcp_rank).
+  // process mode, where the one local state carries Config::rank).
   detail::WorkerState& st = *states_[static_cast<std::size_t>(local)];
   Worker w(this, &st);
   detail::current_worker_slot() = &w;

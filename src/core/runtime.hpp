@@ -249,21 +249,18 @@ class Runtime {
   void worker_main(int local, const std::function<void(Worker&)>& fn);
   /// True when this process hosts exactly ONE rank of a multi-process run
   /// (the tcp and shm transports): run_attempt builds a single WorkerState
-  /// carrying the global rank (Config::tcp_rank / Config::shm_rank),
-  /// boundary barriers have size 1, and cross-rank synchronisation is the
-  /// transport's staged exchange itself. RunStats then holds this rank's
-  /// trace only, and checkpoint resume degrades to whole-run replay
-  /// (RecoveryManager::latest_complete spans all nprocs ranks, of which only
-  /// the local one ever checkpoints here).
+  /// carrying the global rank (Config::rank), boundary barriers have size
+  /// 1, and cross-rank synchronisation is the transport's staged exchange
+  /// itself. RunStats then holds this rank's trace only, and checkpoint
+  /// resume degrades to whole-run replay (RecoveryManager::latest_complete
+  /// spans all nprocs ranks, of which only the local one ever checkpoints
+  /// here).
   [[nodiscard]] bool process_mode() const {
     return cfg_.delivery == DeliveryStrategy::Tcp ||
            cfg_.delivery == DeliveryStrategy::Shm;
   }
   /// The global rank this process hosts in process mode.
-  [[nodiscard]] int process_rank() const {
-    return cfg_.delivery == DeliveryStrategy::Shm ? cfg_.shm_rank
-                                                  : cfg_.tcp_rank;
-  }
+  [[nodiscard]] int process_rank() const { return cfg_.rank; }
   void do_sync(detail::WorkerState& st);
   void do_sync_begin(detail::WorkerState& st);
   bool do_sync_progress(detail::WorkerState& st);

@@ -9,9 +9,7 @@
 
 #include "core/transport_deferred.hpp"
 #include "core/transport_eager.hpp"
-#include "core/transport_shm.hpp"
-#include "core/transport_socket.hpp"
-#include "core/transport_tcp.hpp"
+#include "core/transport_mesh.hpp"
 
 namespace gbsp {
 
@@ -73,11 +71,14 @@ std::unique_ptr<Transport> make_transport(const Config& cfg, SlabPool& pool,
     case DeliveryStrategy::Eager:
       return std::make_unique<EagerTransport>(cfg, pool, abort_flag);
     case DeliveryStrategy::Socket:
-      return std::make_unique<SocketTransport>(cfg, pool, abort_flag);
+      return std::make_unique<MeshTransport>(
+          cfg, pool, abort_flag, std::make_unique<detail::SocketpairMesh>(cfg));
     case DeliveryStrategy::Tcp:
-      return std::make_unique<TcpTransport>(cfg, pool, abort_flag);
+      return std::make_unique<MeshTransport>(
+          cfg, pool, abort_flag, std::make_unique<detail::TcpMesh>(cfg));
     case DeliveryStrategy::Shm:
-      return std::make_unique<ShmTransport>(cfg, pool, abort_flag);
+      return std::make_unique<MeshTransport>(
+          cfg, pool, abort_flag, std::make_unique<detail::ShmMesh>(cfg));
   }
   throw std::invalid_argument("gbsp: unknown DeliveryStrategy");
 }
@@ -117,29 +118,28 @@ bool configure_proc_from_env(Config& cfg) {
         "gbsp: GBSP_TRANSPORT=\"" + transport +
         "\" is not a cross-process transport (expected tcp or shm)");
   }
-  cfg.nprocs = env_int("GBSP_NPROCS", nprocs, 1, 1 << 20);
-  const int r = env_int("GBSP_RANK", rank, 0, cfg.nprocs - 1);
+  // Fill a copy, so a malformed variable throws with cfg untouched.
+  Config c = cfg;
+  c.nprocs = env_int("GBSP_NPROCS", nprocs, 1, 1 << 20);
+  c.rank = env_int("GBSP_RANK", rank, 0, c.nprocs - 1);
   if (transport == "shm") {
-    cfg.delivery = DeliveryStrategy::Shm;
-    cfg.shm_rank = r;
-    if (const char* name = std::getenv("GBSP_SHM_NAME")) cfg.shm_name = name;
+    c.delivery = DeliveryStrategy::Shm;
+    if (const char* name = std::getenv("GBSP_SHM_NAME")) c.shm_name = name;
   } else {
-    cfg.delivery = DeliveryStrategy::Tcp;
-    cfg.tcp_rank = r;
-    if (const char* host = std::getenv("GBSP_HOST")) cfg.tcp_host = host;
+    c.delivery = DeliveryStrategy::Tcp;
+    if (const char* host = std::getenv("GBSP_HOST")) c.tcp_host = host;
     if (const char* port = std::getenv("GBSP_PORT")) {
-      cfg.tcp_port = env_int("GBSP_PORT", port, 1, 65535);
+      c.tcp_port = env_int("GBSP_PORT", port, 1, 65535);
     }
   }
   if (const char* t = std::getenv("GBSP_CONNECT_TIMEOUT_MS")) {
     // Doubles as the shm bootstrap deadline (Config docs the dual role).
-    cfg.tcp_connect_timeout_ms = static_cast<std::size_t>(
+    c.tcp_connect_timeout_ms = static_cast<std::size_t>(
         env_int("GBSP_CONNECT_TIMEOUT_MS", t, 1, 3'600'000));
   }
+  cfg = c;
   return true;
 }
-
-bool configure_tcp_from_env(Config& cfg) { return configure_proc_from_env(cfg); }
 
 namespace detail {
 

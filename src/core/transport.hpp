@@ -10,8 +10,10 @@
 //     swap at the boundary — the shared-memory realisation.
 //   * EagerTransport (core/transport_eager.hpp): the paper's Appendix B.1
 //     alternating input buffers with chunk-granularity locking.
-//   * SocketTransport (core/transport_socket.hpp): the paper's Appendix B.3
-//     rigid (p-1)-stage total exchange over real loopback sockets.
+//   * MeshTransport (core/transport_mesh.hpp): the paper's Appendix B.3
+//     rigid (p-1)-stage total exchange, one implementation over three
+//     meshes — in-process socketpairs (Socket), TCP between processes
+//     (Tcp), and shared-memory rings between processes (Shm).
 //
 // Arena ownership: transports own every message arena. WorkerState carries
 // only the inbox *views*; the bytes behind them live in a transport-owned
@@ -185,25 +187,29 @@ class Transport {
 };
 
 /// Human-readable transport name for a strategy ("deferred", "eager",
-/// "socket").
+/// "socket", "tcp", "shm").
 [[nodiscard]] const char* to_string(DeliveryStrategy d);
+
+/// True exactly for the deliveries MeshTransport serves (Socket, Tcp, Shm):
+/// their boundary is the staged (p-1)-round exchange, so a cost model must
+/// price an h-relation round by round, not by its largest fan-in/fan-out.
+[[nodiscard]] constexpr bool is_mesh_delivery(DeliveryStrategy d) {
+  return d == DeliveryStrategy::Socket || d == DeliveryStrategy::Tcp ||
+         d == DeliveryStrategy::Shm;
+}
 
 /// Parses a --transport flag value; throws std::invalid_argument on unknown
 /// names.
 [[nodiscard]] DeliveryStrategy delivery_from_string(const std::string& s);
 
 /// Applies the bsp_launch rank environment to `cfg`: GBSP_RANK + GBSP_NPROCS
-/// select process mode; GBSP_TRANSPORT (tcp when absent) picks the
-/// cross-process transport and routes the rank into tcp_rank or shm_rank;
-/// GBSP_HOST / GBSP_PORT / GBSP_SHM_NAME / GBSP_CONNECT_TIMEOUT_MS fill the
-/// transport's knobs. Returns false — leaving cfg untouched — when GBSP_RANK
-/// is absent (not launched by bsp_launch); throws std::invalid_argument on a
-/// malformed environment.
+/// select process mode and set Config::rank; GBSP_TRANSPORT (tcp when
+/// absent) picks the cross-process transport; GBSP_HOST / GBSP_PORT /
+/// GBSP_SHM_NAME / GBSP_CONNECT_TIMEOUT_MS fill the transport's knobs.
+/// Returns false — leaving cfg untouched — when GBSP_RANK is absent (not
+/// launched by bsp_launch); throws std::invalid_argument, again leaving cfg
+/// untouched, on a malformed environment.
 bool configure_proc_from_env(Config& cfg);
-
-/// Old name of configure_proc_from_env, kept for existing callers; identical
-/// behavior (including GBSP_TRANSPORT=shm).
-bool configure_tcp_from_env(Config& cfg);
 
 /// Builds the Transport for cfg.delivery. `pool` must outlive the transport
 /// (it backs every arena); `abort_flag` is the runtime's shared abort flag,
@@ -223,7 +229,7 @@ class TransportBase : public Transport {
 
   /// Default Serialized-mode exchange: deliver to each unfinished worker in
   /// pid order. Transports whose wire protocol involves finished workers
-  /// (socket) override this.
+  /// (the mesh transport) override this.
   void exchange(
       const std::vector<std::unique_ptr<WorkerState>>& states) override {
     for (const auto& st : states) {

@@ -11,6 +11,7 @@
 
 #include "core/collectives.hpp"
 #include "core/runtime.hpp"
+#include "core/transport.hpp"
 
 namespace gbsp {
 namespace {
@@ -56,7 +57,9 @@ TEST_P(Collectives, ReduceSumToEveryRoot) {
       const std::int64_t got =
           reduce(w, root, static_cast<std::int64_t>(w.pid()),
                  std::plus<std::int64_t>{}, alg());
-      if (w.pid() == root) EXPECT_EQ(got, expect);
+      if (w.pid() == root) {
+        EXPECT_EQ(got, expect);
+      }
     });
   }
 }
@@ -67,7 +70,9 @@ TEST_P(Collectives, ReduceMax) {
     const int v = 100 - std::abs(2 * w.pid() - (p() - 1));
     const int got = reduce(
         w, 0, v, [](int a, int b) { return a > b ? a : b; }, alg());
-    if (w.pid() == 0) EXPECT_EQ(got, 100 - ((p() - 1) % 2));
+    if (w.pid() == 0) {
+      EXPECT_EQ(got, 100 - ((p() - 1) % 2));
+    }
   });
 }
 
@@ -501,6 +506,59 @@ TEST(CollectivesExtra, SelectorPrefersTwoPhaseForOneHotOnStagedTransport) {
   const ScheduleChoice barrier = evaluate_alltoallv_schedule(
       one_hot, /*staged=*/false, /*g_us=*/1.0, /*l_us=*/50.0, 16);
   EXPECT_EQ(barrier.schedule, CollectiveSchedule::Direct);
+}
+
+TEST(CollectivesExtra, StagedPricingCoversEveryMeshDelivery) {
+  // Every delivery MeshTransport serves runs the staged (p-1)-round
+  // exchange, so the Auto alltoallv choice must price all three with the
+  // staged law — and the barrier transports with the h-relation law.
+  EXPECT_FALSE(is_mesh_delivery(DeliveryStrategy::Deferred));
+  EXPECT_FALSE(is_mesh_delivery(DeliveryStrategy::Eager));
+  EXPECT_TRUE(is_mesh_delivery(DeliveryStrategy::Socket));
+  EXPECT_TRUE(is_mesh_delivery(DeliveryStrategy::Tcp));
+  EXPECT_TRUE(is_mesh_delivery(DeliveryStrategy::Shm));
+
+  // One-hot traffic is where the two laws disagree: a perfect h-relation
+  // (Direct under the barrier law) that the staged exchange serializes
+  // through single rounds (TwoPhase under the staged law).
+  const int p = 8;
+  const std::size_t sp = static_cast<std::size_t>(p);
+  std::vector<std::vector<std::uint64_t>> one_hot(
+      sp, std::vector<std::uint64_t>(sp, 0));
+  for (int i = 0; i < p; ++i) {
+    one_hot[static_cast<std::size_t>(i)][static_cast<std::size_t>(
+        (i * 3 + 1) % p)] = 512 * 1024;
+  }
+  ASSERT_EQ(evaluate_alltoallv_schedule(one_hot, /*staged=*/true, 1.0, 50.0,
+                                        16)
+                .schedule,
+            CollectiveSchedule::TwoPhase);
+  ASSERT_EQ(evaluate_alltoallv_schedule(one_hot, /*staged=*/false, 1.0, 50.0,
+                                        16)
+                .schedule,
+            CollectiveSchedule::Direct);
+
+  // Same pinned g/L for all five deliveries: only the pricing law differs.
+  for (auto d : {DeliveryStrategy::Deferred, DeliveryStrategy::Eager,
+                 DeliveryStrategy::Socket, DeliveryStrategy::Tcp,
+                 DeliveryStrategy::Shm}) {
+    Config cfg;
+    cfg.nprocs = p;
+    cfg.delivery = d;
+    cfg.collective_g_us = 1.0;
+    cfg.collective_l_us = 50.0;
+    EXPECT_EQ(detail::choose_alltoallv_schedule(cfg, one_hot).schedule,
+              is_mesh_delivery(d) ? CollectiveSchedule::TwoPhase
+                                  : CollectiveSchedule::Direct)
+        << to_string(d);
+  }
+
+  // And under a plain Shm config, with its own measured g/L defaults.
+  Config shm;
+  shm.nprocs = p;
+  shm.delivery = DeliveryStrategy::Shm;
+  EXPECT_EQ(detail::choose_alltoallv_schedule(shm, one_hot).schedule,
+            CollectiveSchedule::TwoPhase);
 }
 
 TEST(CollectivesExtra, RootedSelectorTradesLatencyAgainstBandwidth) {

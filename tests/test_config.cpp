@@ -3,7 +3,14 @@
 // deep inside delivery. Also covers the --transport flag parsing helpers.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>  // setenv, unsetenv
+
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/runtime.hpp"
 #include "core/transport.hpp"
@@ -144,7 +151,7 @@ Config valid_tcp() {
   Config cfg;
   cfg.nprocs = 4;
   cfg.delivery = DeliveryStrategy::Tcp;
-  cfg.tcp_rank = 2;
+  cfg.rank = 2;
   return cfg;
 }
 
@@ -163,7 +170,7 @@ TEST(TcpConfigValidation, RejectsSerializedScheduling) {
 TEST(TcpConfigValidation, RejectsRankOutsideRun) {
   for (int r : {-1, 4, 100}) {
     Config cfg = valid_tcp();
-    cfg.tcp_rank = r;
+    cfg.rank = r;
     EXPECT_THROW(Runtime rt(cfg), std::invalid_argument) << r;
   }
 }
@@ -205,7 +212,7 @@ TEST(TcpConfigValidation, KnobsIgnoredOffTcp) {
   // The tcp_* knobs gate only the tcp transport; an unrelated delivery mode
   // must not reject a config that happens to carry stale values.
   Config cfg = valid_base();
-  cfg.tcp_rank = -7;
+  cfg.rank = -7;
   cfg.tcp_host = "not a host";
   cfg.tcp_port = 0;
   EXPECT_NO_THROW(Runtime rt(cfg));
@@ -219,7 +226,7 @@ Config valid_shm() {
   Config cfg;
   cfg.nprocs = 4;
   cfg.delivery = DeliveryStrategy::Shm;
-  cfg.shm_rank = 2;
+  cfg.rank = 2;
   cfg.shm_name = "cfgtest";
   return cfg;
 }
@@ -237,7 +244,7 @@ TEST(ShmConfigValidation, RejectsSerializedScheduling) {
 TEST(ShmConfigValidation, RejectsRankOutsideRun) {
   for (int r : {-1, 4, 100}) {
     Config cfg = valid_shm();
-    cfg.shm_rank = r;
+    cfg.rank = r;
     EXPECT_THROW(Runtime rt(cfg), std::invalid_argument) << r;
   }
 }
@@ -293,7 +300,7 @@ TEST(ShmConfigValidation, KnobsIgnoredOffShm) {
   // Like tcp_*, the shm_* knobs gate only the shm transport; stale values
   // must not poison an in-memory run.
   Config cfg = valid_base();
-  cfg.shm_rank = -7;
+  cfg.rank = -7;
   cfg.shm_name = "not / a name";
   cfg.shm_ring_bytes = 1;
   cfg.shm_slab_bytes = 1;
@@ -322,6 +329,121 @@ TEST(TransportNames, FactoryMatchesEnum) {
     auto t = make_transport(cfg, pool, nullptr);
     EXPECT_STREQ(t->name(), to_string(d));
   }
+}
+
+// --- configure_proc_from_env: the bsp_launch rank environment. Each test
+// starts from an environment with none of the launcher's variables set, and
+// the fixture restores whatever was there before.
+
+class ConfigureProcFromEnv : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const char* k : {"GBSP_RANK", "GBSP_NPROCS", "GBSP_TRANSPORT",
+                          "GBSP_HOST", "GBSP_PORT", "GBSP_SHM_NAME",
+                          "GBSP_CONNECT_TIMEOUT_MS"}) {
+      const char* v = std::getenv(k);
+      saved_.emplace_back(k, v != nullptr ? std::optional<std::string>(v)
+                                          : std::nullopt);
+      ::unsetenv(k);
+    }
+  }
+  void TearDown() override {
+    for (const auto& [k, v] : saved_) {
+      if (v) {
+        ::setenv(k, v->c_str(), 1);
+      } else {
+        ::unsetenv(k);
+      }
+    }
+  }
+  static void set(const char* k, const char* v) { ::setenv(k, v, 1); }
+
+ private:
+  std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
+};
+
+TEST_F(ConfigureProcFromEnv, RankLandsInConfigRankForTcpAndShm) {
+  const std::pair<const char*, DeliveryStrategy> cases[] = {
+      {"tcp", DeliveryStrategy::Tcp}, {"shm", DeliveryStrategy::Shm}};
+  for (const auto& [name, delivery] : cases) {
+    set("GBSP_RANK", "2");
+    set("GBSP_NPROCS", "4");
+    set("GBSP_TRANSPORT", name);
+    Config cfg;
+    ASSERT_TRUE(configure_proc_from_env(cfg)) << name;
+    EXPECT_EQ(cfg.rank, 2) << name;
+    EXPECT_EQ(cfg.nprocs, 4) << name;
+    EXPECT_EQ(cfg.delivery, delivery) << name;
+    EXPECT_NO_THROW(validate_config(cfg)) << name;
+  }
+  // No GBSP_TRANSPORT means tcp.
+  ::unsetenv("GBSP_TRANSPORT");
+  Config cfg;
+  ASSERT_TRUE(configure_proc_from_env(cfg));
+  EXPECT_EQ(cfg.delivery, DeliveryStrategy::Tcp);
+  EXPECT_EQ(cfg.rank, 2);
+}
+
+TEST_F(ConfigureProcFromEnv, PicksUpHostPortAndShmName) {
+  set("GBSP_RANK", "0");
+  set("GBSP_NPROCS", "2");
+  set("GBSP_TRANSPORT", "tcp");
+  set("GBSP_HOST", "10.1.2.3");
+  set("GBSP_PORT", "5123");
+  set("GBSP_CONNECT_TIMEOUT_MS", "1234");
+  Config tcp;
+  ASSERT_TRUE(configure_proc_from_env(tcp));
+  EXPECT_EQ(tcp.tcp_host, "10.1.2.3");
+  EXPECT_EQ(tcp.tcp_port, 5123);
+  EXPECT_EQ(tcp.tcp_connect_timeout_ms, 1234u);
+
+  set("GBSP_TRANSPORT", "shm");
+  set("GBSP_SHM_NAME", "run7");
+  Config shm;
+  ASSERT_TRUE(configure_proc_from_env(shm));
+  EXPECT_EQ(shm.shm_name, "run7");
+  EXPECT_EQ(shm.tcp_connect_timeout_ms, 1234u);
+}
+
+TEST_F(ConfigureProcFromEnv, RejectsMalformedEnvironment) {
+  // GBSP_RANK without GBSP_NPROCS.
+  set("GBSP_RANK", "0");
+  Config cfg;
+  EXPECT_THROW((void)configure_proc_from_env(cfg), std::invalid_argument);
+
+  // An unknown transport.
+  set("GBSP_NPROCS", "2");
+  set("GBSP_TRANSPORT", "udp");
+  EXPECT_THROW((void)configure_proc_from_env(cfg), std::invalid_argument);
+
+  // A rank outside [0, nprocs).
+  set("GBSP_TRANSPORT", "shm");
+  for (const char* r : {"2", "-1", "x"}) {
+    set("GBSP_RANK", r);
+    EXPECT_THROW((void)configure_proc_from_env(cfg), std::invalid_argument)
+        << r;
+  }
+  // No throw above wrote a partial launch into cfg.
+  EXPECT_EQ(cfg.nprocs, Config{}.nprocs);
+  EXPECT_EQ(cfg.delivery, Config{}.delivery);
+}
+
+TEST_F(ConfigureProcFromEnv, NoRankReturnsFalseAndLeavesConfigUntouched) {
+  set("GBSP_NPROCS", "4");
+  set("GBSP_TRANSPORT", "shm");
+  set("GBSP_HOST", "10.1.2.3");
+  set("GBSP_PORT", "5123");
+  set("GBSP_SHM_NAME", "run7");
+  Config cfg;
+  cfg.nprocs = 3;
+  cfg.rank = 1;
+  EXPECT_FALSE(configure_proc_from_env(cfg));
+  EXPECT_EQ(cfg.nprocs, 3);
+  EXPECT_EQ(cfg.rank, 1);
+  EXPECT_EQ(cfg.delivery, DeliveryStrategy::Deferred);
+  EXPECT_EQ(cfg.tcp_host, Config{}.tcp_host);
+  EXPECT_EQ(cfg.tcp_port, Config{}.tcp_port);
+  EXPECT_EQ(cfg.shm_name, Config{}.shm_name);
 }
 
 }  // namespace

@@ -417,7 +417,7 @@ TEST(ShmFault, InjectedPeerHangupRecoversAcrossRanks) {
         Config cfg;
         cfg.nprocs = p;
         cfg.delivery = DeliveryStrategy::Shm;
-        cfg.shm_rank = r;
+        cfg.rank = r;
         cfg.shm_name = name;
         cfg.deterministic_delivery = true;
         cfg.collect_stats = true;

@@ -591,7 +591,7 @@ TEST(Runtime, CommMatrixRecordsPerDestinationPackets) {
 
 TEST(Runtime, ShmIsProcessModeWithOneLocalWorker) {
   // The shm transport, like tcp, makes the Runtime a single-rank process:
-  // one local worker whose pid is shm_rank, peers living in other
+  // one local worker whose pid is Config::rank, peers living in other
   // processes. The degenerate single-rank run exercises the whole
   // process-mode plumbing (mesh build with no peers, self-delivery only)
   // without needing a peer process. Cross-rank coverage lives in
@@ -599,7 +599,7 @@ TEST(Runtime, ShmIsProcessModeWithOneLocalWorker) {
   Config cfg;
   cfg.nprocs = 1;
   cfg.delivery = DeliveryStrategy::Shm;
-  cfg.shm_rank = 0;
+  cfg.rank = 0;
   cfg.shm_name = "rt" + std::to_string(static_cast<long>(::getpid()));
   cfg.collect_stats = true;
   Runtime rt(cfg);

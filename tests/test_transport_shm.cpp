@@ -32,7 +32,7 @@
 #include "core/runtime.hpp"
 #include "core/shm_ring.hpp"
 #include "core/transport.hpp"
-#include "core/transport_shm.hpp"
+#include "core/transport_mesh.hpp"
 
 namespace gbsp {
 namespace {
@@ -48,7 +48,7 @@ Config rank_cfg(int rank, int nprocs, const std::string& name) {
   Config cfg;
   cfg.nprocs = nprocs;
   cfg.delivery = DeliveryStrategy::Shm;
-  cfg.shm_rank = rank;
+  cfg.rank = rank;
   cfg.shm_name = name;
   cfg.collect_stats = true;
   return cfg;
@@ -238,6 +238,46 @@ TEST(ShmMeshBootstrap, PeerDiesDuringSegmentHandoffIsDescriptive) {
   EXPECT_FALSE(mesh.dirty());
   EXPECT_EQ(mesh.builds(), 1u);
   peer.join();
+}
+
+TEST(ShmMeshBootstrap, PeerClosingDuringHandshakeIsRetried) {
+  // The counterpart of the handoff case: a "rank 0" that reads rank 1's
+  // hello and closes without answering looks like a previous incarnation
+  // tearing down. The dialer must retry, and connect once the real rank 0
+  // comes up, instead of failing the build.
+  const std::string name = seg_name(12);
+  std::thread rank0([&] {
+    {
+      const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      ASSERT_GE(lfd, 0);
+      sockaddr_un sa{};
+      sa.sun_family = AF_UNIX;
+      const std::string tag = "gbsp-shm." + name + ".0";
+      std::memcpy(sa.sun_path + 1, tag.data(), tag.size());
+      const socklen_t salen = static_cast<socklen_t>(
+          offsetof(sockaddr_un, sun_path) + 1 + tag.size());
+      ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&sa), salen), 0);
+      ASSERT_EQ(::listen(lfd, 1), 0);
+      const int fd = ::accept(lfd, nullptr, nullptr);
+      ASSERT_GE(fd, 0);
+      detail::RankHello in;
+      ASSERT_EQ(::recv(fd, &in, sizeof(in), MSG_WAITALL),
+                static_cast<ssize_t>(sizeof(in)));
+      ::close(fd);  // die before answering the hello
+      ::close(lfd);
+    }
+    Config c0 = rank_cfg(0, 2, name);
+    c0.tcp_connect_timeout_ms = 5'000;
+    detail::ShmMesh m0(c0);
+    EXPECT_NO_THROW(m0.build(2));
+  });
+  Config cfg = rank_cfg(1, 2, name);
+  cfg.tcp_connect_timeout_ms = 5'000;
+  detail::ShmMesh mesh(cfg);
+  EXPECT_NO_THROW(mesh.build(2));
+  EXPECT_FALSE(mesh.dirty());
+  EXPECT_EQ(mesh.builds(), 1u);
+  rank0.join();
 }
 
 TEST(ShmMeshBootstrap, SegmentDataWithoutFdIsDescriptive) {
@@ -438,7 +478,7 @@ TEST(ShmRuntime, CleanRunsReuseTheMesh) {
     rt.run(program);
     rt.run(program);
     rt.run(program);
-    auto* shm = dynamic_cast<ShmTransport*>(&rt.transport());
+    auto* shm = dynamic_cast<MeshTransport*>(&rt.transport());
     ASSERT_NE(shm, nullptr);
     EXPECT_EQ(shm->debug_mesh_builds(), 1u)
         << "clean runs must reuse the bootstrapped mesh";
@@ -577,7 +617,7 @@ TEST(ShmRuntime, PeerDeathSurfacesAndMeshRebuilds) {
     }
     rank0_failed.set_value();
     rt.run(ping);  // phase 3: rebuild against the new incarnation
-    auto* shm = dynamic_cast<ShmTransport*>(&rt.transport());
+    auto* shm = dynamic_cast<MeshTransport*>(&rt.transport());
     ASSERT_NE(shm, nullptr);
     EXPECT_EQ(shm->debug_mesh_builds(), 2u)
         << "the failed run must force exactly one mesh rebuild";

@@ -16,7 +16,7 @@
 
 #include "core/runtime.hpp"
 #include "core/transport.hpp"
-#include "core/transport_socket.hpp"
+#include "core/transport_mesh.hpp"
 
 namespace gbsp {
 namespace {
@@ -193,7 +193,7 @@ TEST(SocketFaultInjection, KilledEndpointsSurfaceAsTransportError) {
   // Hard-close one worker's endpoints mid-run, as if its process died: the
   // peer observes EOF on the shared stream and diagnoses it.
   Runtime rt(socket_config(2));
-  auto* sock = dynamic_cast<SocketTransport*>(&rt.transport());
+  auto* sock = dynamic_cast<MeshTransport*>(&rt.transport());
   ASSERT_NE(sock, nullptr);
   EXPECT_THROW(rt.run([&](Worker& w) {
                  if (w.pid() == 0) {
@@ -251,7 +251,7 @@ TEST(SocketLifecycle, CleanRunsReuseTheSocketMesh) {
   // consecutive run() calls keep the same socketpair mesh instead of
   // rebuilding it.
   Runtime rt(socket_config(2));
-  auto* sock = dynamic_cast<SocketTransport*>(&rt.transport());
+  auto* sock = dynamic_cast<MeshTransport*>(&rt.transport());
   ASSERT_NE(sock, nullptr);
   auto program = [](Worker& w) {
     w.send(1 - w.pid(), w.pid() + 10);
@@ -261,10 +261,10 @@ TEST(SocketLifecycle, CleanRunsReuseTheSocketMesh) {
     EXPECT_EQ(m->as<int>(), (1 - w.pid()) + 10);
   };
   rt.run(program);
-  EXPECT_EQ(sock->debug_socket_builds(), 1u);
+  EXPECT_EQ(sock->debug_mesh_builds(), 1u);
   rt.run(program);
   rt.run(program);
-  EXPECT_EQ(sock->debug_socket_builds(), 1u) << "clean runs must reuse";
+  EXPECT_EQ(sock->debug_mesh_builds(), 1u) << "clean runs must reuse";
 }
 
 TEST(SocketLifecycle, FailedRunForcesAMeshRebuild) {
@@ -275,7 +275,7 @@ TEST(SocketLifecycle, FailedRunForcesAMeshRebuild) {
   cfg.socket_stage_timeout_ms = 200;
   cfg.socket_backoff_max_ms = 10;
   Runtime rt(cfg);
-  auto* sock = dynamic_cast<SocketTransport*>(&rt.transport());
+  auto* sock = dynamic_cast<MeshTransport*>(&rt.transport());
   ASSERT_NE(sock, nullptr);
   EXPECT_THROW(rt.run([](Worker& w) {
                  w.send(1 - w.pid(), 1);
@@ -283,7 +283,7 @@ TEST(SocketLifecycle, FailedRunForcesAMeshRebuild) {
                  if (w.pid() == 1) w.sync();  // wedge -> timeout
                }),
                BspTransportError);
-  EXPECT_EQ(sock->debug_socket_builds(), 1u);
+  EXPECT_EQ(sock->debug_mesh_builds(), 1u);
   auto clean = [](Worker& w) {
     w.send(1 - w.pid(), 7);
     w.sync();
@@ -292,9 +292,9 @@ TEST(SocketLifecycle, FailedRunForcesAMeshRebuild) {
     EXPECT_EQ(m->as<int>(), 7);
   };
   rt.run(clean);
-  EXPECT_EQ(sock->debug_socket_builds(), 2u) << "dirty wire must rebuild";
+  EXPECT_EQ(sock->debug_mesh_builds(), 2u) << "dirty wire must rebuild";
   rt.run(clean);
-  EXPECT_EQ(sock->debug_socket_builds(), 2u) << "clean again: reuse resumes";
+  EXPECT_EQ(sock->debug_mesh_builds(), 2u) << "clean again: reuse resumes";
 }
 
 // --------------------------------------------------------- stream corruption
@@ -315,7 +315,7 @@ void inject_bytes(int fd, const void* data, std::size_t n) {
 std::string garbled_stream_error(Config cfg,
                                  const std::vector<std::uint8_t>& garbage) {
   Runtime rt(cfg);
-  auto* sock = dynamic_cast<SocketTransport*>(&rt.transport());
+  auto* sock = dynamic_cast<MeshTransport*>(&rt.transport());
   if (sock == nullptr) return "not a socket transport";
   try {
     rt.run([&](Worker& w) {

@@ -2,7 +2,7 @@
 // over loopback does not care that the p ranks are threads rather than
 // processes, so each "rank" here is a thread owning its own rank-r Config,
 // TcpMesh/Runtime, and port — exactly what p bsp_launch children would own.
-// (The true multi-process path is covered by scripts/run_tcp_smoke.sh,
+// (The true multi-process path is covered by scripts/run_proc_smoke.sh tcp,
 // which drives the real launcher.)
 //
 // Covered seams: the mesh bootstrap (full p-rank build, every failure mode
@@ -26,7 +26,7 @@
 #include "core/mesh.hpp"
 #include "core/runtime.hpp"
 #include "core/transport.hpp"
-#include "core/transport_tcp.hpp"
+#include "core/transport_mesh.hpp"
 
 namespace gbsp {
 namespace {
@@ -42,7 +42,7 @@ Config rank_cfg(int rank, int nprocs, int port) {
   Config cfg;
   cfg.nprocs = nprocs;
   cfg.delivery = DeliveryStrategy::Tcp;
-  cfg.tcp_rank = rank;
+  cfg.rank = rank;
   cfg.tcp_port = port;
   cfg.collect_stats = true;
   return cfg;
@@ -427,7 +427,7 @@ TEST(TcpRuntime, CleanRunsReuseTheMesh) {
     rt.run(program);
     rt.run(program);
     rt.run(program);
-    auto* tcp = dynamic_cast<TcpTransport*>(&rt.transport());
+    auto* tcp = dynamic_cast<MeshTransport*>(&rt.transport());
     ASSERT_NE(tcp, nullptr);
     EXPECT_EQ(tcp->debug_mesh_builds(), 1u)
         << "clean runs must reuse the bootstrapped mesh";
@@ -496,7 +496,7 @@ TEST(TcpRuntime, PeerDeathSurfacesAndMeshRebuilds) {
     }
     rank0_failed.set_value();
     rt.run(ping);  // phase 3: rebuild against the new incarnation
-    auto* tcp = dynamic_cast<TcpTransport*>(&rt.transport());
+    auto* tcp = dynamic_cast<MeshTransport*>(&rt.transport());
     ASSERT_NE(tcp, nullptr);
     EXPECT_EQ(tcp->debug_mesh_builds(), 2u)
         << "the failed run must force exactly one mesh rebuild";

@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
                      to_string(want));
         return 1;
       }
-      rank = cfg.delivery == DeliveryStrategy::Tcp ? cfg.tcp_rank
-                                                   : cfg.shm_rank;
+      rank = cfg.rank;
       process_mode = true;
     } else {
       cfg.nprocs = static_cast<int>(args.get_int("procs", 4));
