@@ -72,15 +72,19 @@ enum class CollectiveSchedule {
   TwoPhase,
 };
 
-/// Barrier algorithm used at superstep boundaries.
+/// Barrier algorithm used at the superstep boundaries of the in-memory
+/// transports (one barrier per boundary). CentralBlocking and Dissemination
+/// exist for the App. B.1 barrier ablation (bench_ablation_barrier).
 enum class BarrierKind {
-  /// Central sense-reversing spin barrier (with yielding), in the spirit of
-  /// the paper's spin-flag synchronisation.
+  /// The default. Central counter barrier in the spirit of the paper's
+  /// spin-flag synchronisation: waiters spin ~50 us on one generation word
+  /// (CPU pause for the first ~5 us, then yield; yield throughout when
+  /// workers outnumber hardware threads), then park in atomic::wait.
   CentralSpin,
-  /// Mutex + condition-variable central barrier; friendly to oversubscribed
-  /// hosts where spinning burns the one core the other workers need.
+  /// Mutex + condition-variable central barrier: waiters park at once.
   CentralBlocking,
-  /// Dissemination barrier: ceil(log2 p) rounds of pairwise signals.
+  /// Dissemination barrier: ceil(log2 p) rounds of pairwise signals,
+  /// yield-spinning.
   Dissemination,
 };
 
@@ -88,7 +92,7 @@ struct Config {
   int nprocs = 1;
   Scheduling scheduling = Scheduling::Parallel;
   DeliveryStrategy delivery = DeliveryStrategy::Deferred;
-  BarrierKind barrier = BarrierKind::CentralBlocking;
+  BarrierKind barrier = BarrierKind::CentralSpin;
 
   /// Deliver messages sorted by (source, sequence). The paper's library
   /// returns packets "in any arbitrary order"; tests use this for

@@ -187,9 +187,11 @@ void Runtime::do_sync(detail::WorkerState& st) {
   if (cfg_.scheduling == Scheduling::Serialized) {
     scheduler_->yield_at_sync(st.pid);  // transport exchange ran inside
   } else if (transport_->needs_boundary_barriers()) {
-    barrier_a_->arrive_and_wait(st.pid);
+    // One barrier per boundary: once every worker has sealed its sends,
+    // each delivers to itself from the ended superstep's parity while
+    // faster peers may already be sending into the other one.
+    barrier_->arrive_and_wait(st.pid);
     transport_->deliver_to(st);
-    barrier_b_->arrive_and_wait(st.pid);
   } else {
     // Self-synchronising transport: deliver_to blocks until every peer's
     // data for this boundary has arrived — the exchange is the barrier.
@@ -277,10 +279,10 @@ void Runtime::do_sync_end(detail::WorkerState& st) {
     scheduler_->yield_at_sync(st.pid);  // transport exchange ran inside
   } else if (transport_->needs_boundary_barriers()) {
     // Same placement as a rigid boundary: every worker sealed its sends at
-    // its own sync_begin, so once all arrive here the senders are quiescent.
-    barrier_a_->arrive_and_wait(st.pid);
+    // its own sync_begin, so once all arrive here the ended superstep's
+    // traffic is complete.
+    barrier_->arrive_and_wait(st.pid);
     transport_->finish_exchange(st);
-    barrier_b_->arrive_and_wait(st.pid);
   } else {
     transport_->finish_exchange(st);
   }
@@ -335,6 +337,7 @@ void Runtime::report_error(std::exception_ptr e, int pid) {
     }
   }
   abort_.store(true, std::memory_order_release);
+  if (barrier_) barrier_->abort();  // wakes parked workers at once
   if (scheduler_) scheduler_->abort();
 }
 
@@ -433,8 +436,7 @@ bool Runtime::run_attempt(const std::function<void(Worker&)>& fn) {
   // calls, not just across supersteps. A failed attempt marked the socket
   // wire dirty, so a retry gets a fresh mesh.
   transport_->reset_run(states_);
-  barrier_a_ = make_barrier(cfg_.barrier, nl, &abort_);
-  barrier_b_ = make_barrier(cfg_.barrier, nl, &abort_);
+  barrier_ = make_barrier(cfg_.barrier, nl);
   scheduler_.reset();
   if (cfg_.scheduling == Scheduling::Serialized) {
     scheduler_ = std::make_unique<SerialScheduler>(

@@ -249,7 +249,7 @@ class Runtime {
   void worker_main(int local, const std::function<void(Worker&)>& fn);
   /// True when this process hosts exactly ONE rank of a multi-process run
   /// (the tcp and shm transports): run_attempt builds a single WorkerState
-  /// carrying the global rank (Config::rank), boundary barriers have size
+  /// carrying the global rank (Config::rank), the boundary barrier has size
   /// 1, and cross-rank synchronisation is the transport's staged exchange
   /// itself. RunStats then holds this rank's trace only, and checkpoint
   /// resume degrades to whole-run replay (RecoveryManager::latest_complete
@@ -285,8 +285,7 @@ class Runtime {
   SlabPool pool_;
   std::unique_ptr<Transport> transport_;
   std::vector<std::unique_ptr<detail::WorkerState>> states_;
-  std::unique_ptr<Barrier> barrier_a_;
-  std::unique_ptr<Barrier> barrier_b_;
+  std::unique_ptr<Barrier> barrier_;
   std::unique_ptr<SerialScheduler> scheduler_;
   std::atomic<bool> abort_{false};
   std::mutex error_mutex_;

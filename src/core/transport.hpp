@@ -75,13 +75,19 @@ struct BspTransportError : std::runtime_error {
 ///  * stage_send() and flush() are called by the owning worker's thread only,
 ///    with `st` being that worker's own state.
 ///  * deliver_to() in Parallel mode is called concurrently, one call per
-///    worker. For barrier transports (needs_boundary_barriers() == true) the
-///    calls run strictly between the two boundary barriers, when no worker
-///    is sending — implementations may therefore read *any* worker's
-///    sender-side arenas without locks, but may mutate only state belonging
-///    to `dst`. For self-synchronising transports (socket) there is no
-///    global quiescent point: deliver_to() may touch only dst's own state
-///    and dst's endpoints, and must tolerate peers that are still computing.
+///    worker. For barrier transports (needs_boundary_barriers() == true) each
+///    call runs after the one boundary barrier, when every worker has sealed
+///    the ended superstep's sends — but faster peers may already be past the
+///    barrier and sending in the next superstep. Implementations therefore
+///    keep sender-side state per superstep parity (t % 2), and deliver_to()
+///    reads only the ended superstep's parity: it may read *any* worker's
+///    arenas of that parity without locks, but may mutate only state
+///    belonging to `dst` (including handing `dst`'s drained arenas back into
+///    that parity). A sender cannot reach the next barrier, and so cannot
+///    return to this parity, until every receiver has drained it. For
+///    self-synchronising transports (socket) there is no global barrier:
+///    deliver_to() may touch only dst's own state and dst's endpoints, and
+///    must tolerate peers that are still computing.
 ///  * exchange() replaces deliver_to() in Serialized mode. It is invoked by
 ///    the SerialScheduler from whichever worker thread completes the round,
 ///    with the scheduler lock held — effectively single-threaded, never
@@ -94,11 +100,12 @@ class Transport {
 
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// True when superstep boundaries must bracket delivery with two global
-  /// barriers (delivery reads sender-side state that must be quiescent).
-  /// Self-synchronising transports return false: their exchange blocks until
-  /// every peer's data for this boundary has arrived, which is exactly the
-  /// synchronisation a barrier would provide.
+  /// True when each superstep boundary needs one global barrier before
+  /// delivery: deliver_to() runs after the one barrier and reads only the
+  /// ended superstep's parity of the senders' state. Self-synchronising
+  /// transports return false: their exchange blocks until every peer's data
+  /// for this boundary has arrived, which is exactly the synchronisation a
+  /// barrier would provide.
   [[nodiscard]] virtual bool needs_boundary_barriers() const = 0;
 
   /// True when steady-state supersteps are served entirely by slab recycling
@@ -131,7 +138,7 @@ class Transport {
                                    std::size_t n) = 0;
 
   /// Sender-side boundary hook, called at the top of sync() before delivery
-  /// (and before the first barrier, for barrier transports).
+  /// (and before the barrier, for barrier transports).
   virtual void flush(detail::WorkerState& st) = 0;
 
   /// Delivers everything sent to `dst` during the ended superstep: rebuilds
@@ -166,7 +173,7 @@ class Transport {
 
   /// Completes `st`'s boundary exchange and publishes the new inbox views —
   /// the delivery half of the split pair. For barrier transports the runtime
-  /// brackets this with the same two barriers as a rigid sync().
+  /// calls it after the same one barrier as a rigid sync().
   virtual void finish_exchange(detail::WorkerState& st) { deliver_to(st); }
 
   /// Serialized-mode global exchange: delivers for every worker in one call

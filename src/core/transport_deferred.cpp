@@ -13,12 +13,12 @@ void DeferredTransport::reset_run(
   per_.clear();
   per_.resize(p);
   for (PerWorker& pw : per_) {
-    pw.outbox.reserve(p);
-    pw.inbox_from.reserve(p);
-    for (std::size_t d = 0; d < p; ++d) {
-      pw.outbox.emplace_back(pool_);
-      pw.inbox_from.emplace_back(pool_);
+    for (auto& parity : pw.outbox) {
+      parity.reserve(p);
+      for (std::size_t d = 0; d < p; ++d) parity.emplace_back(pool_);
     }
+    pw.inbox_from.reserve(p);
+    for (std::size_t d = 0; d < p; ++d) pw.inbox_from.emplace_back(pool_);
   }
 }
 
@@ -33,7 +33,8 @@ std::byte* DeferredTransport::stage_reserve(detail::WorkerState& st, int dest,
   const std::size_t d = static_cast<std::size_t>(dest);
   // The zero-allocation send path: bump-append a frame into the recycled
   // per-destination arena; the caller fills the payload slot in place.
-  MessageArena& arena = per_[static_cast<std::size_t>(st.pid)].outbox[d];
+  MessageArena& arena =
+      per_[static_cast<std::size_t>(st.pid)].outbox[st.superstep % 2][d];
   return arena.append(static_cast<std::uint32_t>(st.pid), st.seq_to[d]++, n);
 }
 
@@ -48,16 +49,19 @@ void DeferredTransport::deliver_to(detail::WorkerState& dst) {
   dst.inbox.clear();
   dst.inbox_cursor = 0;
   PerWorker& mine = per_[static_cast<std::size_t>(dst.pid)];
-  // Swap each source's filled outbox arena against the drained arena this
-  // receiver holds from two boundaries ago: the pair ping-pongs forever, so
+  // Read only the ended superstep's parity: faster peers may already be
+  // filling the other one. Swap each source's filled outbox arena against
+  // the drained arena this receiver holds from an earlier boundary, so
   // steady-state supersteps never touch the allocator. Walking sources in
   // pid order yields views already (source, seq)-sorted — deterministic
   // delivery needs no sort here.
+  const std::size_t parity = dst.superstep % 2;
   std::size_t total = 0;
   for (std::size_t s = 0; s < per_.size(); ++s) {
     MessageArena& drained = mine.inbox_from[s];
     drained.clear();
-    std::swap(drained, per_[s].outbox[static_cast<std::size_t>(dst.pid)]);
+    std::swap(drained,
+              per_[s].outbox[parity][static_cast<std::size_t>(dst.pid)]);
     total += drained.message_count();
   }
   dst.inbox.reserve(total);
@@ -69,8 +73,10 @@ void DeferredTransport::deliver_to(detail::WorkerState& dst) {
 }
 
 bool DeferredTransport::has_unflushed(const detail::WorkerState& st) const {
+  // Only the current superstep's parity: the other one holds the previous
+  // superstep's traffic until its receivers, possibly slower, drain it.
   const PerWorker& pw = per_[static_cast<std::size_t>(st.pid)];
-  for (const MessageArena& a : pw.outbox) {
+  for (const MessageArena& a : pw.outbox[st.superstep % 2]) {
     if (!a.empty()) return true;
   }
   return false;

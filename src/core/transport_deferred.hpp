@@ -1,12 +1,20 @@
 // Deferred delivery: the lock-free whole-arena exchange.
 //
-// Senders buffer locally, one recycled arena per destination; at the
-// superstep boundary the receiver swaps each source's filled outbox arena
-// against the drained arena it holds from two boundaries ago. The pair
-// ping-pongs forever, so steady-state supersteps never touch the allocator
-// and no lock is ever taken — the natural BSP realisation on shared memory.
+// Senders buffer locally, one recycled arena per destination and superstep
+// parity; at the superstep boundary the receiver swaps each source's filled
+// outbox arena of the ended superstep's parity against the drained arena it
+// holds from an earlier boundary. The arenas ping-pong forever, so
+// steady-state supersteps never touch the allocator and no lock is ever
+// taken — the natural BSP realisation on shared memory.
+//
+// Like the eager transport's alternating input buffers, the two parities
+// are what let one barrier close a superstep: a sender that races past the
+// barrier into superstep t+1 fills the other parity, and cannot reach the
+// next barrier — hence parity t again — until every receiver has drained
+// parity t.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "core/transport.hpp"
@@ -36,10 +44,10 @@ class DeferredTransport final : public detail::TransportBase {
 
  private:
   struct PerWorker {
-    // outbox[d]: the arena this processor fills for destination d during the
-    // superstep. inbox_from[s]: the drained arena this processor holds for
-    // source s, swapped against s's outbox at the boundary.
-    std::vector<MessageArena> outbox;
+    // outbox[t % 2][d]: the arena this processor fills for destination d
+    // during superstep t. inbox_from[s]: the drained arena this processor
+    // holds for source s, swapped against s's outbox at the boundary.
+    std::array<std::vector<MessageArena>, 2> outbox;
     std::vector<MessageArena> inbox_from;
   };
 
