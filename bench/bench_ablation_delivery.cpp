@@ -101,7 +101,7 @@ Row measure(const gbsp::Config& cfg, const std::string& label, int steps,
   row.wire_bytes = wire;
   row.wire_syscalls = syscalls;
   row.wire_zc_bytes = zc;
-  // The staged total exchange runs p*(p-1) worker-stages per boundary
+  // The total exchange runs p*(p-1) worker-stages per boundary
   // (each worker sends one stage and drains one stage per peer).
   const double stages = static_cast<double>(steps) * cfg.nprocs *
                         (cfg.nprocs > 1 ? cfg.nprocs - 1 : 1);
@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
       Config cfg;
       cfg.nprocs = np;
       cfg.delivery = DeliveryStrategy::Socket;
-      rows.push_back(measure(cfg, "socket (staged total exchange)" + suffix,
+      rows.push_back(measure(cfg, "socket (all-pairs total exchange)" + suffix,
                              steps, m, size, reps));
     }
     if (proc_mode) {

@@ -61,22 +61,25 @@ ScheduleChoice choose_alltoallv_schedule(
 }  // namespace detail
 
 // Linear fits of the bsp_probe measurements in BENCH_transport.json (this
-// host, AF_UNIX socketpairs / in-memory arenas). Socket g and L both grow
-// with p — more staged rounds contend for the same cores — so the defaults
-// scale with nprocs; the in-memory transports are flat within the measured
-// band.
+// host, AF_UNIX socketpairs / in-memory arenas), taken when the mesh
+// transports still ran the exchange one stage at a time; they now post
+// every stage at once (core/exchange_engine.hpp), which lowered socket L
+// (EXPERIMENTS.md), and the fits are kept until the selector is re-priced.
+// Socket g and L both grow with p — more peers contend for the same cores
+// — so the defaults scale with nprocs; the in-memory transports are flat
+// within the measured band.
 double default_collective_g_us(DeliveryStrategy d, int nprocs) {
   const double p = nprocs < 1 ? 1.0 : static_cast<double>(nprocs);
   switch (d) {
     case DeliveryStrategy::Socket:
       return 0.12 * p;  // p=2: 0.24, p=4: 0.48 (measured 0.242 / 0.528)
     case DeliveryStrategy::Tcp:
-      // Loopback TCP between processes: same staged schedule as Socket
+      // Loopback TCP between processes: same exchange as Socket
       // with the inet stack's extra per-byte cost; measured 0.136us at
       // p=2, 0.336us at p=4 (BENCH_tcp.json).
       return 0.08 * p;
     case DeliveryStrategy::Shm:
-      // Cross-process shared-memory rings: the staged schedule's per-byte
+      // Cross-process shared-memory rings: the exchange's per-byte
       // cost is one memcpy each way, no kernel; measured 0.13us at p=2,
       // 0.31us at p=4 (BENCH_shm.json).
       return 0.07 * p;
@@ -92,16 +95,16 @@ double default_collective_l_us(DeliveryStrategy d, int nprocs) {
   const double p = nprocs < 1 ? 1.0 : static_cast<double>(nprocs);
   switch (d) {
     case DeliveryStrategy::Socket:
-      // One staged boundary is (p-1) rounds; measured 11.5us at p=2,
-      // 51.5us at p=4.
+      // Fitted to the stage-at-a-time boundary of (p-1) rounds; measured
+      // 11.5us at p=2, 51.5us at p=4.
       return 13.0 * (p > 1.0 ? p - 1.0 : 1.0);
     case DeliveryStrategy::Tcp:
-      // Cross-process loopback boundary: staged rounds plus scheduler
-      // wake-ups between processes; measured 21.8us at p=2, 74.4us at
-      // p=4 (BENCH_tcp.json).
+      // Cross-process loopback boundary, fitted to the stage-at-a-time
+      // rounds plus scheduler wake-ups between processes; measured 21.8us
+      // at p=2, 74.4us at p=4 (BENCH_tcp.json).
       return 24.0 * (p > 1.0 ? p - 1.0 : 1.0);
     case DeliveryStrategy::Shm:
-      // Staged rounds meet spin-then-yield waits instead of poll wake-ups,
+      // Stage rounds met spin-then-yield waits instead of poll wake-ups,
       // so the boundary undercuts both socket transports; measured 8us at
       // p=2, 27us at p=4 (BENCH_shm.json).
       return 9.0 * (p > 1.0 ? p - 1.0 : 1.0);

@@ -32,19 +32,20 @@ enum class DeliveryStrategy {
   /// superstep, with chunk-granularity locking so "the locking cost is small
   /// per packet".
   Eager,
-  /// The paper's Appendix B.3 PC-LAN scheme over real loopback sockets: each
-  /// worker owns a stream socket to every peer, and the superstep boundary
-  /// runs the rigid (p-1)-stage total exchange (stage k: pid i sends to
-  /// (i+k) mod p and receives from (i-k) mod p, length-prefixed frames).
-  /// No boundary barriers: the exchange itself is the synchronisation, as on
-  /// the real PC-LAN. See core/transport_mesh.hpp.
+  /// The paper's Appendix B.3 PC-LAN interconnect over real loopback
+  /// sockets: each worker owns a stream socket to every peer, and the
+  /// superstep boundary runs a send-first all-pairs total exchange (every
+  /// peer's stage goes out at once, as in the App. B.2 Cenju library;
+  /// receives drain in stage order pid-1, pid-2, ...). No boundary barriers:
+  /// the exchange itself is the synchronisation, as on the real PC-LAN. See
+  /// core/exchange_engine.hpp.
   Socket,
-  /// The same staged exchange over AF_INET/TCP between separate OS
+  /// The same exchange over AF_INET/TCP between separate OS
   /// processes: this process is exactly one rank (Config::rank) of an
   /// nprocs process run, normally launched by `bsp_launch`, and connects to
   /// its peers over loopback or a real LAN.
   Tcp,
-  /// The same staged exchange between separate OS processes over shared
+  /// The same exchange between separate OS processes over shared
   /// memory: each rank pair shares an mmap'd memfd segment holding one SPSC
   /// byte ring per direction (plus a zero-copy payload slab), bootstrapped
   /// by an AF_UNIX fd-passing handshake. The steady-state data path is pure
@@ -116,22 +117,22 @@ struct Config {
   /// packets per lock acquisition).
   std::size_t eager_chunk_messages = 1000;
 
-  /// Socket transport: a staged-exchange stage that makes no progress (no
+  /// Socket transport: a boundary exchange that makes no progress (no
   /// byte sent or received) for this long aborts the run with
   /// BspTransportError instead of hanging on a dead or wedged peer.
   std::size_t socket_stage_timeout_ms = 10'000;
 
-  /// Socket transport: idle-wait backoff inside a stage. When neither
-  /// direction can make progress the worker polls its two stage sockets,
+  /// Socket transport: idle-wait backoff inside an exchange. When no send
+  /// or receive can make progress the worker polls every pending socket,
   /// starting at the initial wait and doubling up to the cap (bounded
   /// exponential backoff). Shorter waits detect aborts faster; longer waits
   /// burn less CPU while a slow peer computes.
   std::size_t socket_backoff_initial_ms = 1;
   std::size_t socket_backoff_max_ms = 50;
 
-  /// Socket transport: adaptive spin-then-poll wait policy. After both
-  /// directions of a stage hit EAGAIN, the worker keeps retrying the
-  /// non-blocking pumps (yielding the CPU between attempts, so an
+  /// Socket transport: adaptive spin-then-poll wait policy. After a round
+  /// of every pending send and receive hits EAGAIN, the worker keeps
+  /// retrying the non-blocking rounds (yielding the CPU between attempts, so an
   /// oversubscribed host hands the core to the peer) for this long before
   /// falling back to poll() with the bounded backoff above. Spinning skips
   /// the sleep/wake round trip when the peer is only microseconds behind;

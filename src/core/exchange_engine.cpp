@@ -11,6 +11,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/barrier.hpp"     // BspAborted
 #include "core/transport.hpp"  // BspTransportError
@@ -64,14 +65,25 @@ void ExchangeEngine::attach(int pid, int nprocs) {
   outbox_.reserve(static_cast<std::size_t>(nprocs));
   for (int d = 0; d < nprocs; ++d) outbox_.emplace_back(pool_);
   inbox_arena_.release_slabs();
-  split_active_ = false;
-  split_done_ = false;
+  stages_.assign(static_cast<std::size_t>(nprocs - 1), StageState{});
+  window_active_ = false;
   shm_pairs_.assign(static_cast<std::size_t>(nprocs), nullptr);
   is_shm_ = false;
   for (int j = 0; j < nprocs; ++j) {
     if (j == pid) continue;
     shm_pairs_[static_cast<std::size_t>(j)] = mesh_->shm_pair(pid, j);
     if (shm_pairs_[static_cast<std::size_t>(j)] != nullptr) is_shm_ = true;
+  }
+  // A fresh mesh carries no bytes yet, so every buffer starts empty. The
+  // buffers are not zeroed: only the pages a recv writes are ever touched.
+  rbuf_.clear();
+  rbuf_.resize(static_cast<std::size_t>(nprocs));
+  if (!is_shm_) {
+    for (int j = 0; j < nprocs; ++j) {
+      if (j == pid) continue;
+      rbuf_[static_cast<std::size_t>(j)].data =
+          std::make_unique_for_overwrite<std::byte[]>(kRecvBufferBytes);
+    }
   }
   // An attach follows a fresh mesh build, whose segments' counters start at
   // zero — the zero-copy epoch restarts with them.
@@ -84,17 +96,23 @@ void ExchangeEngine::attach(int pid, int nprocs) {
 void ExchangeEngine::reset_for_reuse() {
   for (MessageArena& ob : outbox_) ob.release_slabs();
   inbox_arena_.release_slabs();
-  // Defensive: a clean run always closes its windows, but stale split flags
+  // Defensive: a clean run always closes its windows, but a stale window
   // from a run that never reached its sync_end() would make the first
-  // begin_window() of the new run resume a dead stage.
-  split_active_ = false;
-  split_done_ = false;
+  // begin_window() of the new run look already open.
+  window_active_ = false;
   // Staged-but-undelivered descriptor frames die with their outbox arenas.
   // boundary_count_ deliberately survives: the mesh and its segments persist
   // across clean-run reuse, and the new run's first zero-copy epoch must not
   // alias the slab half behind the previous run's final, still-live views.
   for (auto& v : zc_out_) v.clear();
   zc_in_.clear();
+}
+
+bool ExchangeEngine::has_buffered_bytes() const {
+  for (const RecvBuffer& rb : rbuf_) {
+    if (rb.beg != rb.end) return true;
+  }
+  return false;
 }
 
 bool ExchangeEngine::has_unflushed() const {
@@ -226,9 +244,13 @@ void ExchangeEngine::apply_zc_views(WorkerState& dst,
 }
 
 void ExchangeEngine::begin_stage(StageState& ss, int k) {
-  const std::size_t sp = static_cast<std::size_t>((pid_ + k) % nprocs_);
+  const std::size_t sp = static_cast<std::size_t>(send_peer(k));
   MessageArena& ob = outbox_[sp];
-  ss = StageState{};
+  // A fresh state that keeps the two vectors' capacity across boundaries.
+  StageState fresh{};
+  fresh.hdr_out.swap(ss.hdr_out);
+  fresh.send_iov.swap(ss.send_iov);
+  ss = std::move(fresh);
   ss.k = k;
   ss.send_pre.count = ob.message_count();
   ss.send_pre.header_bytes = ob.message_count() * sizeof(WireFrameHeader);
@@ -236,8 +258,9 @@ void ExchangeEngine::begin_stage(StageState& ss, int k) {
   // Pack the header block; payloads are NOT serialized — the iovec below
   // points sendmsg straight at the staging arena's slabs, so the payload
   // section leaves the process from the memory stage_send wrote it to.
-  hdr_out_.clear();
-  hdr_out_.reserve(static_cast<std::size_t>(ss.send_pre.header_bytes));
+  std::vector<std::byte>& hdr_out = ss.hdr_out;
+  hdr_out.clear();
+  hdr_out.reserve(static_cast<std::size_t>(ss.send_pre.header_bytes));
   // zc_out_ holds the arena ordinals (ascending, by construction) of frames
   // that are zero-copy descriptors; those get pad == 1 on the wire so the
   // receiver knows to resolve them against the slab instead of treating the
@@ -254,17 +277,16 @@ void ExchangeEngine::begin_stage(StageState& ss, int k) {
       ++zi;
     }
     h.len = f.len;
-    append_bytes(hdr_out_, &h, sizeof(h));
+    append_bytes(hdr_out, &h, sizeof(h));
     ++ordinal;
   });
   zc_out_[sp].clear();
-  send_iov_.clear();
-  send_iov_.push_back({&ss.send_pre, sizeof(StagePreamble)});
-  if (!hdr_out_.empty()) {
-    send_iov_.push_back({hdr_out_.data(), hdr_out_.size()});
-  }
+  std::vector<iovec>& iov = ss.send_iov;
+  iov.clear();
+  iov.push_back({&ss.send_pre, sizeof(StagePreamble)});
+  if (!hdr_out.empty()) iov.push_back({hdr_out.data(), hdr_out.size()});
   ob.for_each_payload_span([&](const std::byte* ptr, std::size_t len) {
-    send_iov_.push_back({const_cast<std::byte*>(ptr), len});
+    iov.push_back({const_cast<std::byte*>(ptr), len});
   });
   // The arena stays live (it backs the iovec) until pump_send retires the
   // last entry and clears it.
@@ -332,18 +354,20 @@ void ExchangeEngine::maybe_corrupt(WorkerState& st, const StageState& ss,
 }
 
 std::size_t ExchangeEngine::pump_send(WorkerState& st, StageState& ss) {
-  const int peer = send_peer(ss);
+  const int peer = send_peer(ss.k);
   const int fd = mesh_->fd(pid_, peer);
   ShmPairView* pv =
       is_shm_ ? shm_pairs_[static_cast<std::size_t>(peer)] : nullptr;
+  std::vector<iovec>& iov = ss.send_iov;
   std::size_t moved = 0;
   while (!ss.send_done) {
-    if (ss.send_idx == send_iov_.size()) {
+    if (ss.send_idx == iov.size()) {
       // Whole stage is in the kernel's hands; the staging arena's bytes have
       // been read, so it can recycle its slabs for the next superstep.
       if (ss.send_arena != nullptr) ss.send_arena->clear();
       ss.send_arena = nullptr;
       ss.send_done = true;
+      --sends_left_;
       break;
     }
     std::size_t clamp = 0;
@@ -361,13 +385,13 @@ std::size_t ExchangeEngine::pump_send(WorkerState& st, StageState& ss) {
       // syscall happens, so wire_syscalls stays untouched — that IS the
       // headline metric.
       const std::size_t cnt =
-          clamp != 0 ? 1 : std::min(send_iov_.size() - ss.send_idx, iov_max());
+          clamp != 0 ? 1 : std::min(iov.size() - ss.send_idx, iov_max());
       const std::size_t maxb =
           clamp != 0 ? clamp : std::numeric_limits<std::size_t>::max();
       const std::size_t w = shm_ring_write(
-          pv->send, send_iov_.data() + ss.send_idx, cnt, maxb);
+          pv->send, iov.data() + ss.send_idx, cnt, maxb);
       if (w == 0) break;  // ring full
-      advance_iov(send_iov_, ss.send_idx, w);
+      advance_iov(iov, ss.send_idx, w);
       moved += w;
       ss.send_moved += static_cast<std::uint64_t>(w);
       st.wire_bytes += static_cast<std::uint64_t>(w);
@@ -378,14 +402,14 @@ std::size_t ExchangeEngine::pump_send(WorkerState& st, StageState& ss) {
     if (clamp != 0) {
       // Truncated transfer: offer the kernel a prefix of the current entry,
       // exercising the partial-I/O resume path.
-      clamped = send_iov_[ss.send_idx];
+      clamped = iov[ss.send_idx];
       clamped.iov_len = std::min(clamped.iov_len, clamp);
       mh.msg_iov = &clamped;
       mh.msg_iovlen = 1;
     } else {
-      mh.msg_iov = send_iov_.data() + ss.send_idx;
+      mh.msg_iov = iov.data() + ss.send_idx;
       mh.msg_iovlen = static_cast<decltype(mh.msg_iovlen)>(
-          std::min(send_iov_.size() - ss.send_idx, iov_max()));
+          std::min(iov.size() - ss.send_idx, iov_max()));
     }
     const ssize_t n = ::sendmsg(fd, &mh, MSG_NOSIGNAL);
     if (n > 0) {
@@ -393,7 +417,7 @@ std::size_t ExchangeEngine::pump_send(WorkerState& st, StageState& ss) {
       // property of the waiting policy, not of the wire format's syscall
       // economy, and would make the metric timing-dependent.
       ++st.wire_syscalls;
-      advance_iov(send_iov_, ss.send_idx, static_cast<std::size_t>(n));
+      advance_iov(iov, ss.send_idx, static_cast<std::size_t>(n));
       moved += static_cast<std::size_t>(n);
       ss.send_moved += static_cast<std::uint64_t>(n);
       st.wire_bytes += static_cast<std::uint64_t>(n);
@@ -470,20 +494,145 @@ void ExchangeEngine::parse_header_block(WorkerState& st, StageState& ss,
     }
   }
   ss.recv_idx = 0;
+  ss.payload_left = ss.recv_pre.payload_bytes;
   ss.phase = recv_iov_.empty() ? StageState::Phase::Done
                                : StageState::Phase::Payload;
 }
 
+std::size_t ExchangeEngine::section_left(const StageState& ss) const {
+  switch (ss.phase) {
+    case StageState::Phase::Preamble:
+      return sizeof(StagePreamble) - ss.scratch_off;
+    case StageState::Phase::Headers:
+      return hdr_in_.size() - ss.hdr_off;
+    case StageState::Phase::Payload:
+      return static_cast<std::size_t>(ss.payload_left);
+    case StageState::Phase::Done:
+      break;
+  }
+  return 0;
+}
+
+std::size_t ExchangeEngine::fill_section(StageState& ss, const std::byte* src,
+                                         std::size_t n) {
+  switch (ss.phase) {
+    case StageState::Phase::Preamble: {
+      const std::size_t c = std::min(n, section_left(ss));
+      std::memcpy(ss.scratch + ss.scratch_off, src, c);
+      return c;
+    }
+    case StageState::Phase::Headers: {
+      const std::size_t c = std::min(n, section_left(ss));
+      std::memcpy(hdr_in_.data() + ss.hdr_off, src, c);
+      return c;
+    }
+    case StageState::Phase::Payload: {
+      // Scatter across the inbox slots from the cursor on; advance_section
+      // moves the cursor afterwards, as it does after a readv.
+      std::size_t done = 0;
+      for (std::size_t i = ss.recv_idx; i < recv_iov_.size() && done < n;
+           ++i) {
+        const std::size_t c = std::min(n - done, recv_iov_[i].iov_len);
+        std::memcpy(recv_iov_[i].iov_base, src + done, c);
+        done += c;
+      }
+      return done;
+    }
+    case StageState::Phase::Done:
+      break;
+  }
+  return 0;
+}
+
+void ExchangeEngine::advance_section(WorkerState& st, StageState& ss, int src,
+                                     std::size_t got) {
+  ss.recv_moved += static_cast<std::uint64_t>(got);
+  switch (ss.phase) {
+    case StageState::Phase::Preamble:
+      ss.scratch_off += got;
+      if (ss.scratch_off == sizeof(StagePreamble)) {
+        // Corruption fires on completed control sections — the validation
+        // path must be the thing that catches the garbled byte.
+        maybe_corrupt(st, ss, src, ss.scratch, sizeof(StagePreamble));
+        std::memcpy(&ss.recv_pre, ss.scratch, sizeof(ss.recv_pre));
+        // Cross-check the sections against each other before trusting any
+        // of the preamble's lengths.
+        if (ss.recv_pre.header_bytes > kMaxHeaderBlockBytes) {
+          throw BspTransportError(
+              "stage preamble claims a " +
+                  std::to_string(ss.recv_pre.header_bytes) +
+                  "-byte header block (stream corruption?)",
+              st.pid, src, static_cast<std::int64_t>(st.superstep), ss.k,
+              /*err=*/0, ss.recv_moved);
+        }
+        if (ss.recv_pre.count !=
+                ss.recv_pre.header_bytes / sizeof(WireFrameHeader) ||
+            ss.recv_pre.header_bytes % sizeof(WireFrameHeader) != 0) {
+          throw BspTransportError(
+              "inconsistent stage preamble: count " +
+                  std::to_string(ss.recv_pre.count) + " vs header block of " +
+                  std::to_string(ss.recv_pre.header_bytes) +
+                  " bytes (stream corruption?)",
+              st.pid, src, static_cast<std::int64_t>(st.superstep), ss.k,
+              /*err=*/0, ss.recv_moved);
+        }
+        if (ss.recv_pre.count == 0) {
+          if (ss.recv_pre.payload_bytes != 0) {
+            throw BspTransportError(
+                "stage preamble declares " +
+                    std::to_string(ss.recv_pre.payload_bytes) +
+                    " payload bytes with zero frames (stream corruption?)",
+                st.pid, src, static_cast<std::int64_t>(st.superstep), ss.k,
+                /*err=*/0, ss.recv_moved);
+          }
+          ss.phase = StageState::Phase::Done;
+        } else {
+          hdr_in_.resize(static_cast<std::size_t>(ss.recv_pre.header_bytes));
+          ss.hdr_off = 0;
+          mesh_->grow_kernel_buffer(
+              pid_, src, /*send_side=*/false,
+              sizeof(StagePreamble) +
+                  static_cast<std::size_t>(ss.recv_pre.header_bytes) +
+                  static_cast<std::size_t>(ss.recv_pre.payload_bytes));
+          ss.phase = StageState::Phase::Headers;
+        }
+      }
+      break;
+    case StageState::Phase::Headers:
+      ss.hdr_off += got;
+      if (ss.hdr_off == hdr_in_.size()) {
+        maybe_corrupt(st, ss, src, hdr_in_.data(), hdr_in_.size());
+        parse_header_block(st, ss, src);
+      }
+      break;
+    case StageState::Phase::Payload:
+      advance_iov(recv_iov_, ss.recv_idx, got);
+      ss.payload_left -= static_cast<std::uint64_t>(got);
+      if (ss.recv_idx == recv_iov_.size()) ss.phase = StageState::Phase::Done;
+      break;
+    case StageState::Phase::Done:
+      break;
+  }
+  if (ss.phase == StageState::Phase::Done) ss.recv_done = true;
+}
+
 std::size_t ExchangeEngine::pump_recv(WorkerState& st, StageState& ss) {
-  const int src = recv_peer(ss);
+  const int src = recv_peer(ss.k);
   const int fd = mesh_->fd(pid_, src);
   ShmPairView* pv =
       is_shm_ ? shm_pairs_[static_cast<std::size_t>(src)] : nullptr;
+  RecvBuffer& rb = rbuf_[static_cast<std::size_t>(src)];
   std::size_t moved = 0;
   while (!ss.recv_done) {
-    if (ss.phase == StageState::Phase::Done) {
-      ss.recv_done = true;
-      break;
+    if (rb.beg != rb.end) {
+      // Bytes an earlier recv already pulled in: consume them, no syscall.
+      const std::size_t got =
+          fill_section(ss, rb.data.get() + rb.beg, rb.end - rb.beg);
+      rb.beg += got;
+      if (rb.beg == rb.end) rb.beg = rb.end = 0;
+      moved += got;
+      advance_section(st, ss, src, got);
+      continue;
     }
     std::size_t clamp = 0;
     if (const auto d = syscall_fault(st, ss, FaultSite::RecvCall, fd, src,
@@ -502,13 +651,13 @@ std::size_t ExchangeEngine::pump_recv(WorkerState& st, StageState& ss) {
       // wire_syscalls.
       switch (ss.phase) {
         case StageState::Phase::Preamble: {
-          std::size_t want = sizeof(StagePreamble) - ss.scratch_off;
+          std::size_t want = section_left(ss);
           if (clamp != 0) want = std::min(want, clamp);
           got = shm_ring_read(pv->recv, ss.scratch + ss.scratch_off, want);
           break;
         }
         case StageState::Phase::Headers: {
-          std::size_t want = hdr_in_.size() - ss.hdr_off;
+          std::size_t want = section_left(ss);
           if (clamp != 0) want = std::min(want, clamp);
           got = shm_ring_read(pv->recv, hdr_in_.data() + ss.hdr_off, want);
           break;
@@ -532,37 +681,29 @@ std::size_t ExchangeEngine::pump_recv(WorkerState& st, StageState& ss) {
       }
       if (got == 0) break;  // ring empty
     } else {
+      // A section remainder at least the buffer's size is read straight
+      // into its destination (no extra copy for big stages); anything
+      // smaller goes through the buffer, so one recv takes the rest of the
+      // stage and whatever follows it.
+      const bool direct = section_left(ss) >= kRecvBufferBytes;
       ssize_t n = 0;
-      switch (ss.phase) {
-        case StageState::Phase::Preamble: {
-          std::size_t want = sizeof(StagePreamble) - ss.scratch_off;
-          if (clamp != 0) want = std::min(want, clamp);
-          n = ::recv(fd, ss.scratch + ss.scratch_off, want, 0);
-          break;
-        }
-        case StageState::Phase::Headers: {
-          // One bulk read for the whole remaining header block — this is the
-          // receive-side win over the per-frame state machine.
-          std::size_t want = hdr_in_.size() - ss.hdr_off;
-          if (clamp != 0) want = std::min(want, clamp);
-          n = ::recv(fd, hdr_in_.data() + ss.hdr_off, want, 0);
-          break;
-        }
-        case StageState::Phase::Payload: {
-          if (clamp != 0) {
-            iovec clamped = recv_iov_[ss.recv_idx];
-            clamped.iov_len = std::min(clamped.iov_len, clamp);
-            n = ::readv(fd, &clamped, 1);
-            break;
-          }
-          const std::size_t cnt =
-              std::min(recv_iov_.size() - ss.recv_idx, iov_max());
-          n = ::readv(fd, recv_iov_.data() + ss.recv_idx,
-                      static_cast<int>(cnt));
-          break;
-        }
-        case StageState::Phase::Done:
-          break;
+      if (!direct) {
+        std::size_t want = kRecvBufferBytes;
+        if (clamp != 0) want = std::min(want, clamp);
+        n = ::recv(fd, rb.data.get(), want, 0);
+      } else if (ss.phase == StageState::Phase::Headers) {
+        std::size_t want = section_left(ss);
+        if (clamp != 0) want = std::min(want, clamp);
+        n = ::recv(fd, hdr_in_.data() + ss.hdr_off, want, 0);
+      } else if (clamp != 0) {
+        iovec clamped = recv_iov_[ss.recv_idx];
+        clamped.iov_len = std::min(clamped.iov_len, clamp);
+        n = ::readv(fd, &clamped, 1);
+      } else {
+        const std::size_t cnt =
+            std::min(recv_iov_.size() - ss.recv_idx, iov_max());
+        n = ::readv(fd, recv_iov_.data() + ss.recv_idx,
+                    static_cast<int>(cnt));
       }
       if (n == 0) {
         throw BspTransportError(
@@ -579,80 +720,14 @@ std::size_t ExchangeEngine::pump_recv(WorkerState& st, StageState& ss) {
             ss.recv_moved);
       }
       ++st.wire_syscalls;  // like the send side: only calls that moved bytes
+      if (!direct) {
+        rb.end = static_cast<std::size_t>(n);  // consumed at the loop top
+        continue;
+      }
       got = static_cast<std::size_t>(n);
     }
     moved += got;
-    ss.recv_moved += static_cast<std::uint64_t>(got);
-    switch (ss.phase) {
-      case StageState::Phase::Preamble:
-        ss.scratch_off += got;
-        if (ss.scratch_off == sizeof(StagePreamble)) {
-          // Corruption fires on completed control sections — the validation
-          // path must be the thing that catches the garbled byte.
-          maybe_corrupt(st, ss, src, ss.scratch, sizeof(StagePreamble));
-          std::memcpy(&ss.recv_pre, ss.scratch, sizeof(ss.recv_pre));
-          // Cross-check the sections against each other before trusting any
-          // of the preamble's lengths.
-          if (ss.recv_pre.header_bytes > kMaxHeaderBlockBytes) {
-            throw BspTransportError(
-                "stage preamble claims a " +
-                    std::to_string(ss.recv_pre.header_bytes) +
-                    "-byte header block (stream corruption?)",
-                st.pid, src, static_cast<std::int64_t>(st.superstep), ss.k,
-                /*err=*/0, ss.recv_moved);
-          }
-          if (ss.recv_pre.count !=
-              ss.recv_pre.header_bytes / sizeof(WireFrameHeader) ||
-              ss.recv_pre.header_bytes % sizeof(WireFrameHeader) != 0) {
-            throw BspTransportError(
-                "inconsistent stage preamble: count " +
-                    std::to_string(ss.recv_pre.count) +
-                    " vs header block of " +
-                    std::to_string(ss.recv_pre.header_bytes) +
-                    " bytes (stream corruption?)",
-                st.pid, src, static_cast<std::int64_t>(st.superstep), ss.k,
-                /*err=*/0, ss.recv_moved);
-          }
-          if (ss.recv_pre.count == 0) {
-            if (ss.recv_pre.payload_bytes != 0) {
-              throw BspTransportError(
-                  "stage preamble declares " +
-                      std::to_string(ss.recv_pre.payload_bytes) +
-                      " payload bytes with zero frames (stream corruption?)",
-                  st.pid, src, static_cast<std::int64_t>(st.superstep), ss.k,
-                  /*err=*/0, ss.recv_moved);
-            }
-            ss.phase = StageState::Phase::Done;
-          } else {
-            hdr_in_.resize(
-                static_cast<std::size_t>(ss.recv_pre.header_bytes));
-            ss.hdr_off = 0;
-            mesh_->grow_kernel_buffer(
-                pid_, src, /*send_side=*/false,
-                sizeof(StagePreamble) +
-                    static_cast<std::size_t>(ss.recv_pre.header_bytes) +
-                    static_cast<std::size_t>(ss.recv_pre.payload_bytes));
-            ss.phase = StageState::Phase::Headers;
-          }
-        }
-        break;
-      case StageState::Phase::Headers:
-        ss.hdr_off += got;
-        if (ss.hdr_off == hdr_in_.size()) {
-          maybe_corrupt(st, ss, src, hdr_in_.data(), hdr_in_.size());
-          parse_header_block(st, ss, src);
-        }
-        break;
-      case StageState::Phase::Payload:
-        advance_iov(recv_iov_, ss.recv_idx, got);
-        if (ss.recv_idx == recv_iov_.size()) {
-          ss.phase = StageState::Phase::Done;
-        }
-        break;
-      case StageState::Phase::Done:
-        break;
-    }
-    if (ss.phase == StageState::Phase::Done) ss.recv_done = true;
+    advance_section(st, ss, src, got);
   }
   return moved;
 }
@@ -686,47 +761,104 @@ void ExchangeEngine::check_peer_alive(WorkerState& st, const StageState& ss,
   }
 }
 
-void ExchangeEngine::run_stage(WorkerState& st, StageState& ss) {
+void ExchangeEngine::begin_window(WorkerState& st) {
+  open_boundary(st);
+  window_active_ = true;
+  for (int k = 1; k < nprocs_; ++k) {
+    begin_stage(stages_[static_cast<std::size_t>(k - 1)], k);
+  }
+  sends_left_ = nprocs_ - 1;
+  recv_k_ = 1;
+  pump_window(st);
+}
+
+std::size_t ExchangeEngine::pump_window(WorkerState& st) {
+  // Send first: every peer's stage goes out before this rank waits on any
+  // receive, so no peer's receive waits on this rank's schedule.
+  std::size_t moved = 0;
+  if (sends_left_ != 0) {
+    for (StageState& ss : stages_) {
+      if (!ss.send_done) moved += pump_send(st, ss);
+    }
+  }
+  // Receives complete in stage order, so frames land in the inbox arena in
+  // the order publication has always had: self, then pid-1, pid-2, ...
+  while (recv_k_ < nprocs_) {
+    StageState& ss = stages_[static_cast<std::size_t>(recv_k_ - 1)];
+    moved += pump_recv(st, ss);
+    if (!ss.recv_done) break;
+    ++recv_k_;
+  }
+  return moved;
+}
+
+const ExchangeEngine::StageState& ExchangeEngine::blocking_stage(
+    int* peer) const {
+  if (recv_k_ < nprocs_) {
+    *peer = recv_peer(recv_k_);
+    return stages_[static_cast<std::size_t>(recv_k_ - 1)];
+  }
+  for (const StageState& ss : stages_) {
+    if (!ss.send_done) {
+      *peer = send_peer(ss.k);
+      return ss;
+    }
+  }
+  *peer = -1;  // unreachable while the window is open
+  return stages_.front();
+}
+
+void ExchangeEngine::append_poll_fds(std::vector<pollfd>& fds) const {
+  for (const StageState& ss : stages_) {
+    if (!ss.send_done) {
+      fds.push_back({mesh_->fd(pid_, send_peer(ss.k)), POLLOUT, 0});
+    }
+  }
+  // Only the stage being received: data from later stages waits in the
+  // kernel, and polling for it would wake a wait that cannot consume it.
+  if (recv_k_ < nprocs_) {
+    fds.push_back({mesh_->fd(pid_, recv_peer(recv_k_)), POLLIN, 0});
+  }
+}
+
+void ExchangeEngine::finish_window(WorkerState& st) {
   using Clock = std::chrono::steady_clock;
-  const int sfd = mesh_->fd(pid_, send_peer(ss));
-  const int rfd = mesh_->fd(pid_, recv_peer(ss));
   auto last_progress = Clock::now();
   std::size_t backoff_ms = cfg_->socket_backoff_initial_ms;
   // The shm idle nap is microsecond-scale: unlike poll(), which wakes the
   // moment the peer writes, a sleep against a memory ring is blind — the
   // full nap is paid even if the ring fills immediately. Millisecond naps
-  // would dominate every stage on an oversubscribed host (ranks > cores),
+  // would dominate every boundary on an oversubscribed host (ranks > cores),
   // where a peer is one scheduler quantum — not one poll wake-up — away.
   constexpr std::size_t kShmNapInitialUs = 50;
   std::size_t backoff_us = kShmNapInitialUs;
-  for (;;) {
-    // Pump both directions each round: interleaving is what makes the
-    // full-duplex stage deadlock-free when transfers exceed kernel buffers
-    // (everyone drains the stream they are the stage-k reader of).
-    std::size_t moved = 0;
-    if (!ss.send_done) moved += pump_send(st, ss);
-    if (!ss.recv_done) moved += pump_recv(st, ss);
-    if (ss.send_done && ss.recv_done) return;
-    if (moved != 0) {
+  while (!window_done()) {
+    // Every round pumps every pending send as well as the receive: that is
+    // what keeps the exchange deadlock-free when transfers exceed kernel
+    // buffers (every peer keeps draining the stream this rank fills).
+    if (pump_window(st) != 0) {
       last_progress = Clock::now();
       backoff_ms = cfg_->socket_backoff_initial_ms;
       backoff_us = kShmNapInitialUs;
       continue;
     }
+    if (window_done()) break;
     if (abort_ != nullptr && abort_->load(std::memory_order_acquire)) {
       throw BspAborted{};
     }
+    int peer = -1;
+    const StageState& ss = blocking_stage(&peer);
     const auto idle = Clock::now() - last_progress;
     if (idle > std::chrono::milliseconds(cfg_->socket_stage_timeout_ms)) {
       throw BspTransportError(
           "stage made no progress for " +
               std::to_string(cfg_->socket_stage_timeout_ms) +
               " ms (peer dead or wedged)",
-          st.pid, recv_peer(ss), static_cast<std::int64_t>(st.superstep),
-          ss.k, /*err=*/0, ss.send_moved + ss.recv_moved);
+          st.pid, peer, static_cast<std::int64_t>(st.superstep), ss.k,
+          /*err=*/0, ss.send_moved + ss.recv_moved);
     }
     // Adaptive wait: a peer in the same boundary is typically microseconds
-    // away, so retry the non-blocking pumps for the spin budget (yielding
+    // away, so retry the non-blocking rounds for the spin budget (yielding
     // the core each round for oversubscribed hosts) before paying a poll.
     // On shm the spin budget is stretched: a yield round-robins the ranks
     // sharing the host's cores (each yield is a cheap handoff to a peer that
@@ -737,16 +869,20 @@ void ExchangeEngine::run_stage(WorkerState& st, StageState& ss) {
       std::this_thread::yield();
       continue;
     }
+    const int wait_fd = mesh_->fd(pid_, peer);
     if (is_shm_) {
       // The shm rings are memory — there is nothing to poll. Past the spin
-      // budget, probe the bootstrap control channel for peer death (the one
-      // failure the data path cannot observe), then sleep with the same
-      // bounded exponential backoff the socket path uses. These probes only
-      // run while idle, so the zero-syscall steady state is preserved.
-      if (!ss.send_done) check_peer_alive(st, ss, send_peer(ss));
-      if (!ss.recv_done) check_peer_alive(st, ss, recv_peer(ss));
-      if (const auto d = syscall_fault(st, ss, FaultSite::PollCall, rfd,
-                                       recv_peer(ss), 0)) {
+      // budget, probe each pending peer's bootstrap control channel for
+      // death (the one failure the data path cannot observe), then sleep
+      // with the same bounded exponential backoff the socket path uses.
+      // These probes only run while idle, so the zero-syscall steady state
+      // is preserved.
+      for (const StageState& s : stages_) {
+        if (!s.send_done) check_peer_alive(st, s, send_peer(s.k));
+      }
+      if (recv_k_ < nprocs_) check_peer_alive(st, ss, peer);
+      if (const auto d = syscall_fault(st, ss, FaultSite::PollCall, wait_fd,
+                                       peer, 0)) {
         (void)d;  // Eintr/Eagain: skip this wait round
         backoff_us = std::min(backoff_us * 2,
                               cfg_->socket_backoff_max_ms * 1000);
@@ -757,104 +893,31 @@ void ExchangeEngine::run_stage(WorkerState& st, StageState& ss) {
           std::min(backoff_us * 2, cfg_->socket_backoff_max_ms * 1000);
       continue;
     }
-    // Idle past the spin budget: wait for either direction to open up,
-    // bounded so aborts and timeouts are noticed (bounded exponential
-    // backoff).
-    struct pollfd fds[2];
-    nfds_t nfds = 0;
-    if (!ss.send_done) {
-      fds[nfds].fd = sfd;
-      fds[nfds].events = POLLOUT;
-      fds[nfds].revents = 0;
-      ++nfds;
-    }
-    if (!ss.recv_done) {
-      if (nfds == 1 && fds[0].fd == rfd) {
-        fds[0].events |= POLLIN;
-      } else {
-        fds[nfds].fd = rfd;
-        fds[nfds].events = POLLIN;
-        fds[nfds].revents = 0;
-        ++nfds;
-      }
-    }
-    if (const auto d = syscall_fault(st, ss, FaultSite::PollCall, rfd,
-                                     recv_peer(ss), 0)) {
+    // Idle past the spin budget: one poll over every pending fd, bounded so
+    // aborts and timeouts are noticed (bounded exponential backoff).
+    poll_fds_.clear();
+    append_poll_fds(poll_fds_);
+    if (const auto d = syscall_fault(st, ss, FaultSite::PollCall, wait_fd,
+                                     peer, 0)) {
       // Eintr/Eagain: skip this poll round as if it was interrupted; the
       // loop re-pumps and re-polls with the next backoff step.
       (void)d;
       backoff_ms = std::min(backoff_ms * 2, cfg_->socket_backoff_max_ms);
       continue;
     }
-    if (::poll(fds, nfds, static_cast<int>(backoff_ms)) < 0 &&
+    if (::poll(poll_fds_.data(), static_cast<nfds_t>(poll_fds_.size()),
+               static_cast<int>(backoff_ms)) < 0 &&
         errno != EINTR) {
       // A real poll failure (EBADF after an injected hangup, ENOMEM) must be
       // diagnosed, not spun on: retrying would busy-loop until the stage
       // timeout with no chance of progress.
-      throw BspTransportError("poll on stage sockets failed", st.pid,
-                              recv_peer(ss),
+      throw BspTransportError("poll on stage sockets failed", st.pid, peer,
                               static_cast<std::int64_t>(st.superstep), ss.k,
                               errno, ss.send_moved + ss.recv_moved);
     }
     backoff_ms = std::min(backoff_ms * 2, cfg_->socket_backoff_max_ms);
   }
-}
-
-void ExchangeEngine::run_all_stages(WorkerState& st) {
-  open_boundary(st);
-  StageState ss;
-  for (int k = 1; k < nprocs_; ++k) {
-    begin_stage(ss, k);
-    run_stage(st, ss);
-  }
-}
-
-bool ExchangeEngine::pump_window(WorkerState& st) {
-  bool moved_any = true;
-  while (!split_done_ && moved_any) {
-    StageState& ss = split_ss_;
-    std::size_t moved = 0;
-    if (!ss.send_done) moved += pump_send(st, ss);
-    if (!ss.recv_done) moved += pump_recv(st, ss);
-    if (ss.send_done && ss.recv_done) {
-      if (ss.k + 1 < nprocs_) {
-        begin_stage(ss, ss.k + 1);
-        continue;  // the fresh stage may be able to move bytes right away
-      }
-      split_done_ = true;
-      break;
-    }
-    moved_any = moved != 0;
-  }
-  return split_done_;
-}
-
-void ExchangeEngine::begin_window(WorkerState& st) {
-  open_boundary(st);
-  split_active_ = true;
-  split_done_ = (nprocs_ == 1);
-  if (!split_done_) {
-    begin_stage(split_ss_, 1);
-    // One opportunistic pass before handing control back: with kernel
-    // buffers sized to the stage, small exchanges are often fully on the
-    // wire before the caller's overlapped compute even starts.
-    pump_window(st);
-  }
-}
-
-void ExchangeEngine::finish_window(WorkerState& st) {
-  while (!split_done_) {
-    // run_stage resumes the in-flight stage mid-transfer — the iovec
-    // cursors and receive phase pick up exactly where the window's last
-    // pump left them.
-    run_stage(st, split_ss_);
-    if (split_ss_.k + 1 < nprocs_) {
-      begin_stage(split_ss_, split_ss_.k + 1);
-    } else {
-      split_done_ = true;
-    }
-  }
-  split_active_ = false;
+  window_active_ = false;
 }
 
 }  // namespace detail

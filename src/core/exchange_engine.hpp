@@ -1,12 +1,25 @@
-// Staged-exchange engine: the transport-agnostic half of the socket-family
-// transports, pumping the paper's Appendix B.3 rigid (p-1)-stage total
-// exchange over whatever endpoints a Mesh (core/mesh.hpp) provides.
+// Exchange engine: the transport-agnostic half of the mesh transports,
+// pumping one superstep boundary's total exchange over whatever endpoints a
+// Mesh (core/mesh.hpp) provides.
 //
 // One engine serves one local rank. It owns that rank's staging state (the
 // per-destination outbox arenas, the inbox arena the receiver's views live
-// in, and reusable per-stage scratch) and the whole wire protocol; the mesh
-// owns fds and buffer sizing; the transport that composes the two owns
-// publication (inbox views), dirty-wire marking, and the Transport seam.
+// in, per-stage send state and per-peer receive buffers) and the whole wire
+// protocol; the mesh owns fds and buffer sizing; the transport that composes
+// the two owns publication (inbox views), dirty-wire marking, and the
+// Transport seam.
+//
+// Schedule — send-first all-pairs (the Cenju library's, paper App. B.2).
+// Stage k (1 .. p-1) pairs this rank's send toward (pid + k) mod p with its
+// receive from (pid - k) mod p — the numbering of the PC-LAN's rigid
+// (p-1)-stage exchange (App. B.3), which the fault plans, FaultContext::stage
+// and BspTransportError's stage field keep using. But no stage waits for
+// another: opening a boundary builds all p-1 stages' sections, and every
+// round pushes every pending send before it reads. Receives drain in stage
+// order (pid-1, pid-2, ...), so the inbox keeps its order — self first, then
+// sources in stage order — while all sends keep being pumped. The staged law
+// itself survives only in the emulator's TcpStaged model, where the paper's
+// PC-LAN numbers are reproduced.
 //
 // Wire format v2 — sectioned stages. A stage is three contiguous sections:
 //
@@ -19,22 +32,29 @@
 // sum(len). Sectioning is what makes both ends cheap. The sender never
 // serializes: it points an iovec at the preamble, a packed header block, and
 // the staging arena's payload spans themselves, and pumps with sendmsg —
-// zero payload copies, one syscall per ~IOV_MAX spans. The receiver does
-// three bulk reads: the preamble, the whole header block into a reusable
-// buffer, then readv of the payload block straight into inbox-arena slots
-// (no bounce buffer), so inbox views keep the same lifetime contract as the
-// in-memory transports: valid until the receiving worker's next sync().
+// zero payload copies, one syscall per ~IOV_MAX spans. On fd meshes the
+// receiver reads through a fixed per-peer buffer (kRecvBufferBytes): one
+// recv takes whatever the kernel holds for that peer, so a small stage costs
+// one syscall, and bytes past the stage (the peer's next-superstep stage,
+// sent early because the peer ran ahead) stay buffered for the next
+// boundary. Preamble and header block are validated out of that buffer, and
+// payloads are copied into inbox-arena slots; a payload (or header block)
+// remainder at least the buffer's size is readv'd straight into its slots
+// instead, so big stages pay no extra copy. Either way inbox views keep the
+// lifetime contract of the in-memory transports: valid until the receiving
+// worker's next sync().
 //
 // There are no boundary barriers. The exchange is the synchronisation — a
-// worker finishes its last stage only after every peer has reached the
-// matching send, exactly as on the paper's PC-LAN, where the staged schedule
-// itself kept the machines in step. Stream framing keeps consecutive
-// supersteps unambiguous even when one worker runs ahead.
+// worker finishes its boundary only after every peer's (possibly empty)
+// stage has arrived, so no worker can leave a boundary before every peer
+// has entered it. Stream framing keeps consecutive supersteps unambiguous
+// even when one worker runs ahead.
 //
-// Waiting is adaptive spin-then-poll: after both directions hit EAGAIN the
-// worker retries the non-blocking pumps for Config::socket_spin_us (yielding
-// between attempts, so oversubscribed hosts hand the core to the peer)
-// before falling back to poll with bounded exponential backoff.
+// Waiting is adaptive spin-then-poll: when a round moves nothing, the worker
+// retries rounds for Config::socket_spin_us (yielding between attempts, so
+// oversubscribed hosts hand the core to the peer) before one poll over every
+// pending fd — each unfinished send and the stage being received — with
+// bounded exponential backoff.
 //
 // Shm fast path: when the mesh exposes shared-memory pair views
 // (Mesh::shm_pair, non-null for ShmMesh), both pumps swap their syscalls for
@@ -42,17 +62,19 @@
 // whole sectioned state machine, validation, fault clamps, and split-phase
 // windows run unchanged, a full ring is the EAGAIN analogue, and nothing on
 // the steady-state data path enters the kernel (wire_syscalls reads 0; idle
-// waits replace poll with bounded sleeps plus a liveness peek of the mesh's
-// control streams). Payloads >= Config::shm_inline_threshold additionally go
-// zero-copy: reserve() hands the sender a slot inside the pair's shared
-// slab, a 16-byte ShmZcDesc travels the ring in the payload's place (wire
-// header pad == 1), and apply_zc_views() re-points the receiver's inbox
-// views at the mapping itself. Slab halves recycle on alternating boundary
-// epochs, fenced by the consumer-published boundaries_opened counter.
+// waits replace poll with bounded sleeps plus a liveness peek of each
+// pending peer's control stream). The ring is the receive buffer there, so
+// shm has no per-peer buffer of its own. Payloads >=
+// Config::shm_inline_threshold additionally go zero-copy: reserve() hands
+// the sender a slot inside the pair's shared slab, a 16-byte ShmZcDesc
+// travels the ring in the payload's place (wire header pad == 1), and
+// apply_zc_views() re-points the receiver's inbox views at the mapping
+// itself. Slab halves recycle on alternating boundary epochs, fenced by the
+// consumer-published boundaries_opened counter.
 //
-// Robustness: both directions of a stage are pumped through non-blocking
-// partial read/write loops (EINTR retried), so a full-duplex stage never
-// deadlocks on kernel buffer limits. A stage that makes no progress for
+// Robustness: every send and receive is pumped through non-blocking partial
+// read/write loops (EINTR retried), so an exchange never deadlocks on kernel
+// buffer limits. An exchange that makes no progress for
 // Config::socket_stage_timeout_ms, or that observes a closed peer, throws
 // BspTransportError; incoming frame headers are validated (pad must be 0,
 // len capped by Config::socket_max_frame_bytes, sections must agree) so a
@@ -64,11 +86,13 @@
 // mesh.
 #pragma once
 
+#include <poll.h>     // pollfd
 #include <sys/uio.h>  // iovec
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -105,36 +129,15 @@ struct StagePreamble {
 };
 static_assert(sizeof(StagePreamble) == 24, "wire preamble layout drifted");
 
-/// The staged-exchange protocol driver for ONE rank of the mesh.
+/// The exchange protocol driver for ONE rank of the mesh.
 class ExchangeEngine {
  public:
-  /// Progress state of one stage of the schedule: an iovec cursor over the
-  /// outgoing sections and a sectioned parse of the incoming stage (preamble
-  /// -> header block -> payloads straight into the inbox arena).
-  struct StageState {
-    int k = 0;  // schedule stage, 1 .. p-1
-    // Send side. send_pre lives here so its iovec entry stays valid for the
-    // stage's lifetime; send_idx indexes the engine's send_iov_, whose
-    // entries are consumed (and partially advanced) in place.
-    StagePreamble send_pre{};
-    std::size_t send_idx = 0;
-    MessageArena* send_arena = nullptr;  // cleared once fully on the wire
-    bool send_done = false;
-    // Receive side.
-    enum class Phase { Preamble, Headers, Payload, Done };
-    Phase phase = Phase::Preamble;
-    std::byte scratch[sizeof(StagePreamble)];
-    std::size_t scratch_off = 0;
-    StagePreamble recv_pre{};
-    std::size_t hdr_off = 0;   // bytes of the header block received so far
-    std::size_t recv_idx = 0;  // cursor into the engine's recv_iov_
-    bool recv_done = false;
-    // Bytes moved so far in each direction of this stage — the transfer
-    // progress a BspTransportError reports so a failure mid-stage is
-    // diagnosable ("died 8 MB into a 64 MB stage" vs "died instantly").
-    std::uint64_t send_moved = 0;
-    std::uint64_t recv_moved = 0;
-  };
+  /// Fixed size of each fd-mesh peer's receive buffer: large enough that a
+  /// small stage (preamble + header block + payload) and any run-ahead
+  /// bytes behind it arrive in one recv, small enough that the copy into
+  /// inbox slots costs less than the syscalls it saves. Section remainders
+  /// at least this large bypass the buffer.
+  static constexpr std::size_t kRecvBufferBytes = std::size_t{16} << 10;
 
   /// `fault` is a handle to the owning transport's injector pointer (the
   /// injector can be swapped between runs without re-plumbing the engine);
@@ -147,13 +150,19 @@ class ExchangeEngine {
     inbox_arena_.bind(pool_);
   }
 
-  /// Binds the engine to its rank and (re)sizes per-destination staging for
-  /// a p-rank run. Called after every mesh build.
+  /// Binds the engine to its rank and (re)sizes per-destination staging and
+  /// per-peer receive buffers for a p-rank run. Called after every mesh
+  /// build, so the receive buffers start empty.
   void attach(int pid, int nprocs);
 
   /// Clean-run reuse: releases every arena's slabs back to the pool (a
   /// drained stream has nothing to leak) and clears stale window flags.
+  /// Buffered receive bytes are stream content and are kept.
   void reset_for_reuse();
+
+  /// True when a peer's receive buffer holds bytes no boundary has consumed
+  /// yet (a peer's stage that arrived ahead of this rank's boundary).
+  [[nodiscard]] bool has_buffered_bytes() const;
 
   [[nodiscard]] int pid() const { return pid_; }
   [[nodiscard]] MessageArena& inbox_arena() { return inbox_arena_; }
@@ -164,11 +173,6 @@ class ExchangeEngine {
   /// call, where the application can see a clean error.
   std::byte* reserve(WorkerState& st, int dest, std::size_t n);
 
-  /// Self-delivery + inbox reset at the top of a boundary (stage 0 of the
-  /// schedule: whole slabs splice over, no wire). On a shm mesh this also
-  /// advances the zero-copy epoch and publishes it to every peer.
-  void open_boundary(WorkerState& dst);
-
   /// Shm only: re-points every zero-copy inbox view of the boundary just
   /// exchanged from its 16-byte on-ring descriptor to the payload's bytes in
   /// the pair's shared slab, validating the descriptor's bounds, and adjusts
@@ -177,66 +181,116 @@ class ExchangeEngine {
   /// boundary carried no zero-copy frames.
   void apply_zc_views(WorkerState& dst, std::uint64_t& recv_packets);
 
-  /// Builds the v2 stage sections for outbox[(pid + k) % p]: packs the
-  /// header block, points send_iov_ at preamble/headers/arena payload spans,
-  /// resets `ss` for stage k. The staging arena stays live until the last
-  /// byte is written (pump_send clears it).
-  void begin_stage(StageState& ss, int k);
+  // --- The exchange of one boundary is a window: begin_window opens it,
+  // pump_window advances it without blocking, finish_window blocks until it
+  // is done. A rigid boundary is begin_window + finish_window; split-phase
+  // supersteps pump in between; the Serialized driver pumps every engine's
+  // window from one thread.
 
-  /// Pumps one direction; returns bytes moved (0 on EAGAIN). Throws
-  /// BspTransportError on EOF, socket error, or a corrupt incoming stage.
-  /// Both pumps consult the fault injector (when installed) before every
-  /// syscall and act out its decision: simulated EINTR/EAGAIN, truncated
-  /// transfers, endpoint shutdown, delays, and aborts.
-  std::size_t pump_send(WorkerState& st, StageState& ss);
-  std::size_t pump_recv(WorkerState& st, StageState& ss);
-
-  /// Blocking driver of one stage: pumps both directions with the adaptive
-  /// spin-then-poll waiting policy until the stage drains.
-  void run_stage(WorkerState& st, StageState& ss);
-
-  /// The rigid boundary: open_boundary + all p-1 stages, blocking. The
-  /// caller publishes the inbox afterwards.
-  void run_all_stages(WorkerState& st);
-
-  // --- Split-phase window. The in-flight StageState lives inside the
-  // engine (not on the caller's stack) because send_iov_ points at
-  // split_ss_.send_pre, which must stay at a stable address across
-  // pump_window calls.
-
-  /// Opens the boundary and starts streaming stage 1, with one
-  /// opportunistic non-blocking pass (with kernel buffers sized to the
-  /// stage, small exchanges are often fully on the wire before the caller's
-  /// overlapped compute even starts).
+  /// Opens the boundary (self-delivery, inbox reset), builds every stage's
+  /// sections, and makes one send-first round: with kernel buffers sized to
+  /// the stages, small exchanges are often fully on the wire before the
+  /// caller's overlapped compute even starts.
   void begin_window(WorkerState& st);
 
-  /// Non-blocking pass over the window's schedule: pumps the in-flight
-  /// stage both ways and advances to the next stage whenever one drains,
-  /// until nothing moves or the schedule is done. Returns window_done().
-  bool pump_window(WorkerState& st);
+  /// One non-blocking round: pushes every pending send until it would
+  /// block, then drains receives in stage order until one would block.
+  /// Returns the bytes moved (0: the round made no progress).
+  std::size_t pump_window(WorkerState& st);
 
-  /// Blocking resume: drives the remaining stages with run_stage. The
-  /// in-flight stage picks up exactly where the window's last pump left it.
-  /// Clears window_active(); the caller publishes afterwards.
+  /// Blocking resume: rounds with the adaptive spin-then-poll wait until
+  /// the window is done. Every in-flight send and receive picks up exactly
+  /// where the last round left it. Clears window_active(); the caller
+  /// publishes afterwards.
   void finish_window(WorkerState& st);
 
-  [[nodiscard]] bool window_active() const { return split_active_; }
-  [[nodiscard]] bool window_done() const { return split_done_; }
+  [[nodiscard]] bool window_active() const { return window_active_; }
+  [[nodiscard]] bool window_done() const {
+    return sends_left_ == 0 && recv_k_ == nprocs_;
+  }
 
-  /// Stage-k peers of this rank (the rigid schedule: send to (pid+k) mod p,
-  /// receive from (pid-k) mod p). Exposed for the serialized driver's poll
-  /// set.
-  [[nodiscard]] int send_peer(const StageState& ss) const {
-    return (pid_ + ss.k) % nprocs_;
-  }
-  [[nodiscard]] int recv_peer(const StageState& ss) const {
-    return (pid_ + nprocs_ - ss.k) % nprocs_;
-  }
+  /// Appends the fds the open window is waiting on: POLLOUT for every
+  /// unfinished send, POLLIN for the stage being received.
+  void append_poll_fds(std::vector<pollfd>& fds) const;
 
  private:
+  /// Progress state of stage k: the send toward (pid + k) mod p and the
+  /// receive from (pid - k) mod p. Each stage owns its send sections (all
+  /// p-1 sends are in flight at once); the receive side reuses the engine's
+  /// header and iovec scratch, since receives drain one stage at a time.
+  struct StageState {
+    int k = 0;  // 1 .. p-1
+    // Send side. send_pre lives here so its iovec entry stays valid for the
+    // boundary's lifetime; send_iov entries are consumed (and partially
+    // advanced) in place from send_idx.
+    StagePreamble send_pre{};
+    std::vector<std::byte> hdr_out;  // packed outgoing header block
+    std::vector<iovec> send_iov;     // preamble + hdr_out + payload spans
+    std::size_t send_idx = 0;
+    MessageArena* send_arena = nullptr;  // cleared once fully on the wire
+    bool send_done = false;
+    // Receive side: preamble -> header block -> payloads into the inbox.
+    enum class Phase { Preamble, Headers, Payload, Done };
+    Phase phase = Phase::Preamble;
+    std::byte scratch[sizeof(StagePreamble)];
+    std::size_t scratch_off = 0;
+    StagePreamble recv_pre{};
+    std::size_t hdr_off = 0;           // header-block bytes received so far
+    std::size_t recv_idx = 0;          // cursor into the engine's recv_iov_
+    std::uint64_t payload_left = 0;    // payload bytes still to arrive
+    bool recv_done = false;
+    // Bytes moved so far in each direction of this stage — the transfer
+    // progress a BspTransportError reports so a failure mid-stage is
+    // diagnosable ("died 8 MB into a 64 MB stage" vs "died instantly").
+    std::uint64_t send_moved = 0;
+    std::uint64_t recv_moved = 0;
+  };
+
+  /// A peer's receive buffer on fd meshes: bytes [beg, end) arrived but are
+  /// not yet consumed by a stage. Null data on shm meshes and for self.
+  struct RecvBuffer {
+    std::unique_ptr<std::byte[]> data;
+    std::size_t beg = 0;
+    std::size_t end = 0;
+  };
+
+  [[nodiscard]] int send_peer(int k) const { return (pid_ + k) % nprocs_; }
+  [[nodiscard]] int recv_peer(int k) const {
+    return (pid_ + nprocs_ - k) % nprocs_;
+  }
+
+  /// Self-delivery + inbox reset at the top of a boundary (stage 0 of the
+  /// schedule: whole slabs splice over, no wire). On a shm mesh this also
+  /// advances the zero-copy epoch and publishes it to every peer.
+  void open_boundary(WorkerState& dst);
+  /// Builds the v2 stage sections for outbox[(pid + k) % p]: packs the
+  /// header block, points ss.send_iov at preamble/headers/arena payload
+  /// spans, resets ss for stage k. The staging arena stays live until the
+  /// last byte is written (pump_send clears it).
+  void begin_stage(StageState& ss, int k);
+  /// Pumps one direction of a stage; returns bytes moved (0 on EAGAIN).
+  /// Throws BspTransportError on EOF, socket error, or a corrupt incoming
+  /// stage. Both pumps consult the fault injector (when installed) before
+  /// every syscall and act out its decision: simulated EINTR/EAGAIN,
+  /// truncated transfers, endpoint shutdown, delays, and aborts.
+  std::size_t pump_send(WorkerState& st, StageState& ss);
+  std::size_t pump_recv(WorkerState& st, StageState& ss);
+  /// Bytes still missing from the section ss is receiving.
+  [[nodiscard]] std::size_t section_left(const StageState& ss) const;
+  /// Copies up to n bytes from src into the section ss is receiving;
+  /// returns how many it took (at most section_left(ss)).
+  std::size_t fill_section(StageState& ss, const std::byte* src,
+                           std::size_t n);
+  /// Accounts `got` bytes that just landed in the section ss is receiving
+  /// and advances its phase, validating each completed control section.
+  void advance_section(WorkerState& st, StageState& ss, int src,
+                       std::size_t got);
   /// Validates the fully received header block, appends its frames to the
   /// inbox arena and builds recv_iov_; advances ss to Payload (or Done).
   void parse_header_block(WorkerState& st, StageState& ss, int src);
+  /// The stage an idle wait is blocked on — the one being received, else
+  /// the first unfinished send — and the peer it waits for.
+  [[nodiscard]] const StageState& blocking_stage(int* peer) const;
   /// Consults the injector before a syscall at `site`. Returns the decision
   /// the pump loop must act on (nullopt = proceed normally); applies
   /// DelayUs/PeerHangup side effects itself and throws on Abort.
@@ -272,15 +326,20 @@ class ExchangeEngine {
   int nprocs_ = 0;
   std::vector<MessageArena> outbox_;  // per-destination staging
   MessageArena inbox_arena_;          // received frames; views live here
-  // Reusable per-stage scratch (capacity persists across stages and runs).
-  std::vector<std::byte> hdr_out_;  // packed outgoing header block
-  std::vector<std::byte> hdr_in_;   // incoming header block, bulk-read
-  std::vector<iovec> send_iov_;     // preamble + hdr_out + payload spans
-  std::vector<iovec> recv_iov_;     // inbox-arena payload slots to fill
-  // Split-phase window state (see begin_window).
-  StageState split_ss_;
-  bool split_active_ = false;
-  bool split_done_ = false;
+  // stages_[k - 1]: stage k. Sized at attach and never resized during a
+  // run — each stage's send_iov points at its own send_pre.
+  std::vector<StageState> stages_;
+  std::vector<RecvBuffer> rbuf_;  // per source peer; fd meshes only
+  // Receive scratch of the one stage being received (capacity persists
+  // across stages and runs).
+  std::vector<std::byte> hdr_in_;  // incoming header block
+  std::vector<iovec> recv_iov_;    // inbox-arena payload slots to fill
+  std::vector<pollfd> poll_fds_;   // idle-wait poll set, reused
+  // Window state: sends not yet fully on the wire, and the stage whose
+  // receive is in progress (nprocs_ once every receive is done).
+  bool window_active_ = false;
+  int sends_left_ = 0;
+  int recv_k_ = 0;
 
   // --- Shm fast path (cached at attach; empty/false on fd meshes).
   std::vector<ShmPairView*> shm_pairs_;  // per peer; nullptr on the diagonal

@@ -532,7 +532,7 @@ std::string TcpMesh::where(int rank) const {
 }
 
 void TcpMesh::finish_endpoint(int fd, int peer) {
-  // The staged exchange writes small control sections (24 B preamble)
+  // The exchange writes small control sections (24 B preamble)
   // followed by bulk payload; Nagle would hold the control bytes hostage to
   // the previous stage's ACKs.
   const int one = 1;

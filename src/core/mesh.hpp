@@ -3,8 +3,8 @@
 // A Mesh owns the endpoint fds of the paper's Appendix B.3 interconnect —
 // one full-duplex stream per (pid, peer) pair — and everything about their
 // lifecycle: build and teardown, the wire-dirty rebuild contract, and kernel
-// buffer sizing. It knows nothing about the staged exchange protocol; the
-// staged-exchange engine (core/exchange_engine.hpp) pumps bytes through
+// buffer sizing. It knows nothing about the exchange protocol; the
+// exchange engine (core/exchange_engine.hpp) pumps bytes through
 // whatever fds the mesh hands it. This is the seam that lets the same v2
 // sectioned wire format run over in-process AF_UNIX socketpairs and over
 // AF_INET/TCP or shared memory between separate OS processes.
@@ -262,7 +262,7 @@ class RendezvousMesh : public Mesh {
 /// TCP mesh: every rank listens on tcp_port + rank (numeric IPv4
 /// Config::tcp_host, SO_REUSEADDR), so each pair (i, j) with i < j is one
 /// TCP connection the higher rank dials. Every endpoint gets TCP_NODELAY,
-/// so the staged exchange's small control sections are not Nagle-delayed.
+/// so the exchange's small control sections are not Nagle-delayed.
 class TcpMesh final : public RendezvousMesh {
  public:
   explicit TcpMesh(const Config& cfg) : RendezvousMesh(cfg) {}

@@ -250,7 +250,7 @@ class Runtime {
   /// True when this process hosts exactly ONE rank of a multi-process run
   /// (the tcp and shm transports): run_attempt builds a single WorkerState
   /// carrying the global rank (Config::rank), the boundary barrier has size
-  /// 1, and cross-rank synchronisation is the transport's staged exchange
+  /// 1, and cross-rank synchronisation is the transport's exchange
   /// itself. RunStats then holds this rank's trace only, and checkpoint
   /// resume degrades to whole-run replay (RecoveryManager::latest_complete
   /// spans all nprocs ranks, of which only the local one ever checkpoints

@@ -3,7 +3,7 @@
 // Each ordered rank pair (i -> j) owns one direction block inside an mmap'd
 // memfd segment created at bootstrap (core/mesh.hpp, ShmMesh). A direction
 // block is a control page of monotonic atomic cursors, a byte ring the
-// staged exchange's sectioned wire bytes stream through, and a zero-copy
+// exchange's sectioned wire bytes stream through, and a zero-copy
 // payload slab whose two halves recycle on alternating boundary epochs.
 //
 // Cursor discipline (classic SPSC): `tail` counts bytes ever produced,

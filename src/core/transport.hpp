@@ -10,9 +10,10 @@
 //     swap at the boundary — the shared-memory realisation.
 //   * EagerTransport (core/transport_eager.hpp): the paper's Appendix B.1
 //     alternating input buffers with chunk-granularity locking.
-//   * MeshTransport (core/transport_mesh.hpp): the paper's Appendix B.3
-//     rigid (p-1)-stage total exchange, one implementation over three
-//     meshes — in-process socketpairs (Socket), TCP between processes
+//   * MeshTransport (core/transport_mesh.hpp): a send-first all-pairs
+//     total exchange (the paper's Appendix B.2 Cenju schedule) over the
+//     Appendix B.3 stream-per-pair interconnect, one implementation over
+//     three meshes — in-process socketpairs (Socket), TCP between processes
 //     (Tcp), and shared-memory rings between processes (Shm).
 //
 // Arena ownership: transports own every message arena. WorkerState carries
@@ -197,9 +198,11 @@ class Transport {
 /// "socket", "tcp", "shm").
 [[nodiscard]] const char* to_string(DeliveryStrategy d);
 
-/// True exactly for the deliveries MeshTransport serves (Socket, Tcp, Shm):
-/// their boundary is the staged (p-1)-round exchange, so a cost model must
-/// price an h-relation round by round, not by its largest fan-in/fan-out.
+/// True exactly for the deliveries MeshTransport serves (Socket, Tcp, Shm).
+/// The alltoallv selector prices their boundary with the staged
+/// (p-1)-round law — round by round, not by the largest fan-in/fan-out —
+/// although the engine now posts every stage at once; re-pricing that law
+/// is an open item.
 [[nodiscard]] constexpr bool is_mesh_delivery(DeliveryStrategy d) {
   return d == DeliveryStrategy::Socket || d == DeliveryStrategy::Tcp ||
          d == DeliveryStrategy::Shm;

@@ -14,11 +14,21 @@ namespace gbsp {
 
 void MeshTransport::reset_run(
     const std::vector<std::unique_ptr<detail::WorkerState>>& states) {
+  if (!mesh_->dirty() && states.size() == eng_.size()) {
+    // When this process hosts every rank, a clean run ends with every
+    // stream drained: nobody sends after the last boundary. Bytes still in
+    // a receive buffer are then an undrained stream, and the mesh is
+    // rebuilt rather than the bytes dropped. (A process-mode rank keeps
+    // them: they are its peer's first stage of the next run, sent early.)
+    for (const auto& e : eng_) {
+      if (e->has_buffered_bytes()) mesh_->mark_dirty();
+    }
+  }
   if (!mesh_->dirty() && !eng_.empty()) {
-    // Every previous exchange completed cleanly, so every stream is drained
-    // (and on shm the zero-copy epoch persists with the mapping): the mesh
-    // carries no state and is reused as-is. Only the arenas reset (slabs go
-    // back to the pool for the new run to reacquire).
+    // Every previous exchange completed cleanly (and on shm the zero-copy
+    // epoch persists with the mapping): the mesh is reused as-is. Only the
+    // arenas reset (slabs go back to the pool for the new run to
+    // reacquire).
     for (auto& e : eng_) {
       if (e != nullptr) e->reset_for_reuse();
     }
@@ -67,7 +77,8 @@ void MeshTransport::deliver_to(detail::WorkerState& dst) {
   detail::ExchangeEngine& e = engine_of(dst.pid);
   try {
     inject_boundary_fault(FaultSite::Deliver, dst);
-    e.run_all_stages(dst);
+    e.begin_window(dst);
+    e.finish_window(dst);
   } catch (...) {
     // Unwinding mid-stage strands half-written stage bytes in kernel
     // buffers or rings; the mesh must be rebuilt before the next run.
@@ -97,7 +108,8 @@ bool MeshTransport::progress(detail::WorkerState& st) {
   if (!e.window_active()) return false;
   if (e.window_done()) return true;
   try {
-    return e.pump_window(st);
+    e.pump_window(st);
+    return e.window_done();
   } catch (...) {
     mesh_->mark_dirty();
     throw;
@@ -129,48 +141,29 @@ void MeshTransport::exchange(
     if (!states[0]->finished) deliver_to(*states[0]);
     return;
   }
-  // Single-threaded driver: one thread advances every worker's staged
-  // exchange, so the same wire protocol runs under the Serialized scheduler.
-  // Finished workers still participate — their peers' schedule expects a
-  // (possibly empty) stage from them on the shared stream.
-  struct Task {
-    detail::WorkerState* st = nullptr;
-    detail::ExchangeEngine::StageState ss;
-    bool done = false;
-  };
-  std::vector<Task> tasks(static_cast<std::size_t>(p));
+  // Single-threaded driver: one thread advances every worker's exchange
+  // window a round at a time, so the same wire protocol runs under the
+  // Serialized scheduler. Finished workers still participate — their peers
+  // expect a (possibly empty) stage from them on the shared stream.
   try {
     for (int i = 0; i < p; ++i) {
-      Task& t = tasks[static_cast<std::size_t>(i)];
-      t.st = states[static_cast<std::size_t>(i)].get();
-      inject_boundary_fault(FaultSite::Deliver, *t.st);
-      engine_of(i).open_boundary(*t.st);
-      engine_of(i).begin_stage(t.ss, 1);
+      detail::WorkerState& st = *states[static_cast<std::size_t>(i)];
+      inject_boundary_fault(FaultSite::Deliver, st);
+      engine_of(i).begin_window(st);
     }
-    int done_count = 0;
     auto last_progress = Clock::now();
     std::size_t backoff_ms = cfg_.socket_backoff_initial_ms;
-    while (done_count < p) {
-      bool progressed = false;
+    for (;;) {
+      bool all_done = true;
+      std::size_t moved = 0;
       for (int i = 0; i < p; ++i) {
-        Task& t = tasks[static_cast<std::size_t>(i)];
-        if (t.done) continue;
         detail::ExchangeEngine& e = engine_of(i);
-        std::size_t moved = 0;
-        if (!t.ss.send_done) moved += e.pump_send(*t.st, t.ss);
-        if (!t.ss.recv_done) moved += e.pump_recv(*t.st, t.ss);
-        if (t.ss.send_done && t.ss.recv_done) {
-          if (t.ss.k + 1 < p) {
-            e.begin_stage(t.ss, t.ss.k + 1);
-          } else {
-            t.done = true;
-            ++done_count;
-          }
-          progressed = true;
-        }
-        progressed = progressed || moved != 0;
+        if (e.window_done()) continue;
+        moved += e.pump_window(*states[static_cast<std::size_t>(i)]);
+        all_done = all_done && e.window_done();
       }
-      if (progressed) {
+      if (all_done) break;
+      if (moved != 0) {
         last_progress = Clock::now();
         backoff_ms = cfg_.socket_backoff_initial_ms;
         continue;
@@ -188,27 +181,19 @@ void MeshTransport::exchange(
             /*err=*/0, /*bytes_moved=*/0);
       }
       // Same adaptive spin as the threaded driver; on a single thread the
-      // yield is a no-op and the spin just retries the pump round.
+      // yield is a no-op and the spin just retries the round.
       if (idle < std::chrono::microseconds(cfg_.socket_spin_us)) {
         std::this_thread::yield();
         continue;
       }
-      // All tasks hit EAGAIN in both directions (kernel buffers momentarily
-      // full on one side, empty on the other): wait for any endpoint.
-      std::vector<struct pollfd> fds;
-      fds.reserve(static_cast<std::size_t>(2 * p));
+      // Every window is blocked (kernel buffers momentarily full on one
+      // side, empty on the other): wait for any endpoint.
+      poll_fds_.clear();
       for (int i = 0; i < p; ++i) {
-        const Task& t = tasks[static_cast<std::size_t>(i)];
-        if (t.done) continue;
-        detail::ExchangeEngine& e = engine_of(i);
-        if (!t.ss.send_done) {
-          fds.push_back({mesh_->fd(i, e.send_peer(t.ss)), POLLOUT, 0});
-        }
-        if (!t.ss.recv_done) {
-          fds.push_back({mesh_->fd(i, e.recv_peer(t.ss)), POLLIN, 0});
-        }
+        const detail::ExchangeEngine& e = engine_of(i);
+        if (!e.window_done()) e.append_poll_fds(poll_fds_);
       }
-      if (::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+      if (::poll(poll_fds_.data(), static_cast<nfds_t>(poll_fds_.size()),
                  static_cast<int>(backoff_ms)) < 0 &&
           errno != EINTR) {
         throw BspTransportError(
@@ -218,11 +203,15 @@ void MeshTransport::exchange(
       }
       backoff_ms = std::min(backoff_ms * 2, cfg_.socket_backoff_max_ms);
     }
+    // Every window is done; finish_window only closes it.
+    for (int i = 0; i < p; ++i) {
+      engine_of(i).finish_window(*states[static_cast<std::size_t>(i)]);
+    }
   } catch (...) {
     mesh_->mark_dirty();
     throw;
   }
-  for (Task& t : tasks) publish(*t.st);
+  for (const auto& st : states) publish(*st);
 }
 
 bool MeshTransport::has_unflushed(const detail::WorkerState& st) const {

@@ -1,5 +1,6 @@
-// Mesh transport: the paper's Appendix B.3 rigid (p-1)-stage total exchange,
-// one implementation for every mesh delivery. It composes two layers:
+// Mesh transport: the send-first all-pairs total exchange (the paper's
+// App. B.2 Cenju schedule), one implementation for every mesh delivery. It
+// composes two layers:
 //
 //   * a Mesh (core/mesh.hpp), picked by make_transport from Config::delivery:
 //     SocketpairMesh (Socket: p ranks as threads of this process, AF_UNIX
@@ -10,14 +11,15 @@
 //   * one ExchangeEngine (core/exchange_engine.hpp) per WorkerState this
 //     process hosts, indexed by pid: p engines in-process, the local rank's
 //     one under bsp_launch. The engine owns the v2 sectioned wire format,
-//     the schedule, the gather paths, spin-then-poll waiting, split-phase
-//     windows, and the fault-injection sites.
+//     the schedule, the gather paths, the per-peer receive buffers,
+//     spin-then-poll waiting, split-phase windows, and the fault-injection
+//     sites.
 //
 // This class is the Transport seam glue: it routes stage_send/sync through
 // the right worker's engine, publishes inbox views after each boundary
 // (re-pointing zero-copy shm frames at the shared mapping), marks the mesh
 // dirty when a worker unwinds mid-stage, and drives the Serialized-mode
-// round-robin exchange over every engine at once. Nothing above the fds
+// exchange: rounds of every engine's window from one thread. Nothing above the fds
 // changes between loopback socketpairs, a real LAN, and shared memory.
 //
 // Lifecycle: the mesh is built once and *reused across Runtime::run()
@@ -72,11 +74,10 @@ class MeshTransport final : public detail::TransportBase {
     inject_boundary_fault(FaultSite::Flush, st);
   }
   void deliver_to(detail::WorkerState& dst) override;
-  // Split-phase overlap: begin_exchange opens the boundary and starts
-  // streaming stage 1 out of the staging arenas; progress() pumps both
-  // directions non-blocking, advancing through the (p-1)-stage schedule as
-  // each stage drains; finish_exchange resumes the in-flight stage with the
-  // blocking spin-then-poll driver, runs the remaining stages, and publishes
+  // Split-phase overlap: begin_exchange opens the boundary and puts every
+  // peer's stage on the wire out of the staging arenas; progress() runs one
+  // non-blocking round of every pending send and receive; finish_exchange
+  // resumes them all with the blocking spin-then-poll driver and publishes
   // the inbox views. The window's wall-clock counts against
   // Config::socket_stage_timeout_ms exactly like slow peer compute in a
   // rigid boundary — the timeout must exceed the longest overlap window.
@@ -117,9 +118,10 @@ class MeshTransport final : public detail::TransportBase {
   std::unique_ptr<detail::Mesh> mesh_;
   // eng_[pid]: the engine of each worker this process hosts, null for ranks
   // hosted elsewhere (unique_ptr: an engine holds arenas and iovec scratch
-  // whose addresses its own StageState may point at — it must never
+  // whose addresses its own stage states point at — it must never
   // relocate).
   std::vector<std::unique_ptr<detail::ExchangeEngine>> eng_;
+  std::vector<pollfd> poll_fds_;  // Serialized driver's poll set, reused
 };
 
 }  // namespace gbsp

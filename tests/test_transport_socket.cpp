@@ -1,6 +1,7 @@
-// Socket transport specifics: wire-byte accounting, the staged-exchange
-// framing, kernel-buffer-exceeding transfers, and fault injection (peer
-// death, endpoint EOF, stage timeout). Conformance with BSP semantics is
+// Socket transport specifics: wire-byte accounting, the sectioned exchange
+// framing and its syscall economy, peers running a superstep ahead,
+// kernel-buffer-exceeding transfers, and fault injection (peer death,
+// endpoint EOF, stage timeout). Conformance with BSP semantics is
 // covered by the parameterized suites in test_runtime*.cpp; this file tests
 // what only the socket transport does.
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -119,6 +121,42 @@ TEST(SocketWireBytes, SectionedStagesUseFewSyscalls) {
   EXPECT_GT(stats.total_wire_syscalls(), 0u);
   EXPECT_LT(stats.total_wire_syscalls(), 256u)
       << "bulk sectioned I/O regressed toward per-frame syscalls";
+}
+
+TEST(SocketWireBytes, SmallAllPairsStagesCostOneSyscallPerPeerPerDirection) {
+  // One 16-byte message from every rank to every peer per superstep, p = 4.
+  // Each stage is one sendmsg out and, through the per-peer receive buffer,
+  // one recv in: at most 2(p-1) data syscalls per rank per boundary (fewer
+  // when a peer's next stage rode in with the current one).
+  constexpr int p = 4;
+  constexpr int kSteps = 24;
+  constexpr std::size_t kWarmup = 4;
+  RunStats stats = Runtime(socket_config(p)).run([](Worker& w) {
+    for (int s = 0; s < kSteps; ++s) {
+      for (int d = 0; d < w.nprocs(); ++d) {
+        if (d == w.pid()) continue;
+        const std::uint64_t v[2] = {static_cast<std::uint64_t>(s),
+                                    static_cast<std::uint64_t>(w.pid())};
+        w.send_bytes(d, v, sizeof(v));
+      }
+      w.sync();
+      std::size_t got = 0;
+      while (const Message* m = w.get_message()) {
+        ASSERT_EQ(m->size(), 16u);
+        ++got;
+      }
+      ASSERT_EQ(got, static_cast<std::size_t>(p - 1));
+    }
+  });
+  ASSERT_EQ(stats.traces.size(), static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    const auto& trace = stats.traces[static_cast<std::size_t>(r)];
+    ASSERT_EQ(trace.size(), static_cast<std::size_t>(kSteps + 1));
+    for (std::size_t s = kWarmup + 1; s < trace.size(); ++s) {
+      EXPECT_LE(trace[s].wire_syscalls, std::uint64_t{2 * (p - 1)})
+          << "rank " << r << ", superstep " << s;
+    }
+  }
 }
 
 TEST(SocketWireBytes, SerializedDriverReportsTheSameWireTraffic) {
@@ -244,6 +282,94 @@ TEST(SocketFaultInjection, RuntimeIsReusableAfterAFailedRun) {
     EXPECT_EQ(m->as<int>(), 7);
   });
   EXPECT_EQ(stats.S(), 2u);
+}
+
+// --------------------------------------------------------------- run-ahead
+
+constexpr int kAheadProcs = 4;
+constexpr int kAheadSteps = 24;
+constexpr int kAheadSlowRank = 2;
+constexpr int kAheadMessagesPerDest = 3;
+
+/// Per rank, every message received in every superstep, as (source, payload
+/// word) pairs in delivery order. Payloads fold in the sender's running
+/// digest of what it received, so a message lost, duplicated or read from
+/// the wrong superstep anywhere changes every later stream.
+using Streams = std::vector<std::vector<std::uint64_t>>;
+
+Streams run_ahead_streams(DeliveryStrategy delivery, bool slow_reader,
+                          RunStats* stats = nullptr) {
+  Config cfg;
+  cfg.nprocs = kAheadProcs;
+  cfg.delivery = delivery;
+  cfg.deterministic_delivery = true;
+  Runtime rt(cfg);
+  if (slow_reader) {
+    // Rank 2 sends its stages, then stalls before every receive: its peers
+    // finish the boundary, compute, and put their next-superstep stage on
+    // the wire behind the one rank 2 has not read yet.
+    FaultPlan plan;
+    FaultRule r;
+    r.site = FaultSite::RecvCall;
+    r.kind = FaultKind::DelayUs;
+    r.rank = kAheadSlowRank;
+    r.arg = 2000;
+    r.count = 1'000'000;  // every superstep
+    plan.rules.push_back(r);
+    rt.set_fault_plan(plan);
+  }
+  Streams streams(kAheadProcs);
+  RunStats s = rt.run([&streams](Worker& w) {
+    std::vector<std::uint64_t>& mine =
+        streams[static_cast<std::size_t>(w.pid())];
+    std::uint64_t digest = static_cast<std::uint64_t>(w.pid()) + 1;
+    for (int step = 0; step < kAheadSteps; ++step) {
+      for (int d = 0; d < w.nprocs(); ++d) {
+        for (int i = 0; i < kAheadMessagesPerDest; ++i) {
+          const std::uint64_t word =
+              digest * 0x9E3779B97F4A7C15ull +
+              static_cast<std::uint64_t>((step * 64 + d) * 16 + i);
+          w.send(d, word);
+        }
+      }
+      w.sync();
+      mine.push_back(0xFFFF'FFFF'0000'0000ull | static_cast<unsigned>(step));
+      while (const Message* m = w.get_message()) {
+        const auto word = m->as<std::uint64_t>();
+        mine.push_back(m->source);
+        mine.push_back(word);
+        digest = (digest ^ word) * 0x100000001B3ull;
+      }
+    }
+  });
+  if (stats != nullptr) *stats = std::move(s);
+  return streams;
+}
+
+TEST(SocketRunAhead, EarlyNextSuperstepStagesAreKeptForTheNextBoundary) {
+  const Streams expected =
+      run_ahead_streams(DeliveryStrategy::Deferred, /*slow_reader=*/false);
+  RunStats stats;
+  const Streams got =
+      run_ahead_streams(DeliveryStrategy::Socket, /*slow_reader=*/true, &stats);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(got[r].size(),
+              static_cast<std::size_t>(kAheadSteps) *
+                  (1 + 2 * kAheadProcs * kAheadMessagesPerDest))
+        << "rank " << r;
+    EXPECT_TRUE(got[r] == expected[r]) << "rank " << r << " diverged";
+  }
+  // The stall did make peers run ahead: some of rank 2's stages arrived
+  // with an earlier recv, so its boundaries averaged below one send and one
+  // receive syscall per peer.
+  std::uint64_t slow_syscalls = 0;
+  for (const auto& rec :
+       stats.traces[static_cast<std::size_t>(kAheadSlowRank)]) {
+    slow_syscalls += rec.wire_syscalls;
+  }
+  EXPECT_LT(slow_syscalls,
+            static_cast<std::uint64_t>(kAheadSteps * 2 * (kAheadProcs - 1)));
 }
 
 TEST(SocketLifecycle, CleanRunsReuseTheSocketMesh) {

@@ -31,11 +31,21 @@
 namespace gbsp {
 namespace {
 
-// Each test gets its own 64-port window; the base is derived from the pid so
-// parallel ctest invocations of this binary do not fight over ports.
+// Each test gets its own 16-port slot inside a per-process window of
+// kSlotsPerWindow slots; the window is derived from the pid so parallel
+// ctest invocations of this binary do not fight over ports. Windows are
+// disjoint (a slot never spills into the next pid's window) and the highest
+// port stays below 65536.
+constexpr int kPortsPerSlot = 16;
+constexpr int kSlotsPerWindow = 16;
+constexpr int kWindowPorts = kPortsPerSlot * kSlotsPerWindow;
+constexpr int kFirstPort = 21000;
+constexpr int kWindows = (65536 - kFirstPort) / kWindowPorts;
+
 int port_base(int test_slot) {
-  const int pid_slice = static_cast<int>(::getpid()) % 320;
-  return 21000 + pid_slice * 128 + test_slot * 16;
+  EXPECT_LT(test_slot, kSlotsPerWindow) << "grow kSlotsPerWindow";
+  const int window = static_cast<int>(::getpid()) % kWindows;
+  return kFirstPort + window * kWindowPorts + test_slot * kPortsPerSlot;
 }
 
 Config rank_cfg(int rank, int nprocs, int port) {
