@@ -1,7 +1,6 @@
 #include "core/mesh.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -16,7 +15,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <new>
 #include <string>
 #include <thread>
@@ -27,35 +25,6 @@ namespace gbsp {
 namespace detail {
 
 namespace {
-
-/// Largest kernel buffer the adaptive sizing will ever request. Beyond a few
-/// MiB the transfer is syscall-bound anyway and the pumps stream through the
-/// buffer; unbounded requests would just pin memory per endpoint.
-constexpr std::size_t kMaxKernelBufBytes = std::size_t{1} << 22;
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw BspTransportError("fcntl(O_NONBLOCK) failed", /*rank=*/-1,
-                            /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
-                            errno, /*bytes_moved=*/0);
-  }
-}
-
-std::size_t kernel_buf_bytes(int fd, int opt) {
-  int v = 0;
-  socklen_t len = sizeof(v);
-  if (::getsockopt(fd, SOL_SOCKET, opt, &v, &len) != 0 || v < 0) return 0;
-  return static_cast<std::size_t>(v);
-}
-
-void request_kernel_buf(int fd, int opt, std::size_t bytes) {
-  const int v = static_cast<int>(std::min(
-      bytes, static_cast<std::size_t>(std::numeric_limits<int>::max())));
-  // Best effort: the kernel clamps to its rmem/wmem limits, and the
-  // partial-I/O pumps are correct at any buffer size.
-  (void)::setsockopt(fd, SOL_SOCKET, opt, &v, sizeof(v));
-}
 
 using Clock = std::chrono::steady_clock;
 
@@ -119,18 +88,19 @@ bool write_full(int fd, const void* buf, std::size_t n, int* err) {
 // ---------------------------------------------------------------------- Mesh
 
 void Mesh::build(int nprocs) {
+  // Channels go first: a ring channel points into a mapping teardown unmaps.
+  channels_.clear();
   teardown();
   nprocs_ = nprocs;
-  const std::size_t n2 =
-      static_cast<std::size_t>(nprocs) * static_cast<std::size_t>(nprocs);
-  snd_grown_to_.assign(n2, 0);
-  rcv_grown_to_.assign(n2, 0);
+  channels_.resize(static_cast<std::size_t>(nprocs) *
+                   static_cast<std::size_t>(nprocs));
   try {
     do_build(nprocs);
   } catch (...) {
     // A partial bootstrap (some endpoints up, some not) must not leak into a
     // later build: tear down and stay dirty. The mesh remains reusable — the
     // next build() starts from scratch.
+    for (auto& c : channels_) c.reset();
     teardown();
     throw;
   }
@@ -138,29 +108,16 @@ void Mesh::build(int nprocs) {
   dirty_.store(false, std::memory_order_relaxed);
 }
 
-void Mesh::grow_kernel_buffer(int pid, int peer, bool send_side,
-                              std::size_t stage_bytes) {
-  if (cfg_.socket_buffer_bytes != 0) return;  // pinned at build time
-  const std::size_t want = std::min(stage_bytes, kMaxKernelBufBytes);
-  std::size_t& mark = send_side ? snd_grown_to_[mark_index(pid, peer)]
-                                : rcv_grown_to_[mark_index(pid, peer)];
-  if (want <= mark) return;
-  mark = want;
-  request_kernel_buf(fd(pid, peer), send_side ? SO_SNDBUF : SO_RCVBUF, want);
-}
-
-void Mesh::seed_buffer_marks(int pid, int peer) {
-  const int f = fd(pid, peer);
-  snd_grown_to_[mark_index(pid, peer)] = kernel_buf_bytes(f, SO_SNDBUF);
-  rcv_grown_to_[mark_index(pid, peer)] = kernel_buf_bytes(f, SO_RCVBUF);
-}
-
-void Mesh::apply_endpoint_options(int fd) const {
-  set_nonblocking(fd);
-  if (cfg_.socket_buffer_bytes != 0) {
-    // Pinned mode: one explicit request per endpoint, no adaptive growth.
-    request_kernel_buf(fd, SO_SNDBUF, cfg_.socket_buffer_bytes);
-    request_kernel_buf(fd, SO_RCVBUF, cfg_.socket_buffer_bytes);
+void Mesh::kill_endpoints(int pid) {
+  // The injected death leaves peers' streams in an undefined half-written
+  // state by design: force a mesh rebuild on the next run.
+  mark_dirty();
+  for (int j = 0; j < nprocs_; ++j) {
+    // shutdown, not close: peers observe EOF on their next read (or, on
+    // shm, when an idle wait polls the control stream), exactly as a real
+    // process death reads, and the fd number stays reserved until the
+    // rebuild.
+    if (const Channel* c = channel(pid, j)) ::shutdown(c->fd(), SHUT_RDWR);
   }
 }
 
@@ -171,12 +128,6 @@ void SocketpairMesh::teardown() {
     if (fd >= 0) ::close(fd);
     fd = -1;
   }
-}
-
-int SocketpairMesh::fd(int pid, int peer) const {
-  return fd_[static_cast<std::size_t>(pid) *
-                 static_cast<std::size_t>(nprocs_) +
-             static_cast<std::size_t>(peer)];
 }
 
 void SocketpairMesh::do_build(int nprocs) {
@@ -190,26 +141,11 @@ void SocketpairMesh::do_build(int nprocs) {
                                 static_cast<int>(j), /*superstep=*/-1,
                                 /*stage=*/-1, errno, /*bytes_moved=*/0);
       }
-      apply_endpoint_options(sv[0]);
-      apply_endpoint_options(sv[1]);
       fd_[i * p + j] = sv[0];
       fd_[j * p + i] = sv[1];
-      seed_buffer_marks(static_cast<int>(i), static_cast<int>(j));
-      seed_buffer_marks(static_cast<int>(j), static_cast<int>(i));
+      channels_[i * p + j] = std::make_unique<FdChannel>(cfg_, sv[0]);
+      channels_[j * p + i] = std::make_unique<FdChannel>(cfg_, sv[1]);
     }
-  }
-}
-
-void SocketpairMesh::kill_endpoints(int pid) {
-  // The injected death leaves peers' streams in an undefined half-written
-  // state by design: force a mesh rebuild on the next run.
-  mark_dirty();
-  const std::size_t p = static_cast<std::size_t>(nprocs_);
-  for (std::size_t j = 0; j < p; ++j) {
-    const int fd = fd_[static_cast<std::size_t>(pid) * p + j];
-    // shutdown, not close: peers polling the other end must observe EOF,
-    // and the fd number must stay reserved until the rebuild.
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
 }
 
@@ -246,22 +182,6 @@ void RendezvousMesh::teardown() {
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
-  }
-}
-
-int RendezvousMesh::fd(int pid, int peer) const {
-  if (pid != cfg_.rank) return -1;  // only the local rank has endpoints
-  return fd_[static_cast<std::size_t>(peer)];
-}
-
-void RendezvousMesh::kill_endpoints(int pid) {
-  mark_dirty();
-  if (pid != cfg_.rank) return;
-  // shutdown, not close: peers observe EOF on their next read (or, on shm,
-  // on the death-check peek of the control stream), exactly as a real
-  // process death reads.
-  for (int fd : fd_) {
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
 }
 
@@ -508,7 +428,7 @@ void RendezvousMesh::do_build(int nprocs) {
     const int fd = fd_[static_cast<std::size_t>(j)];
     if (fd < 0) continue;
     set_io_timeout(fd, 0);  // stage I/O is non-blocking, never timed out
-    finish_endpoint(fd, j);
+    channels_[slot(me, j)] = make_channel(fd, j);
   }
 }
 
@@ -531,14 +451,13 @@ std::string TcpMesh::where(int rank) const {
   return cfg_.tcp_host + ":" + std::to_string(cfg_.tcp_port + rank);
 }
 
-void TcpMesh::finish_endpoint(int fd, int peer) {
+std::unique_ptr<Channel> TcpMesh::make_channel(int fd, int /*peer*/) {
   // The exchange writes small control sections (24 B preamble)
   // followed by bulk payload; Nagle would hold the control bytes hostage to
   // the previous stage's ACKs.
   const int one = 1;
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  apply_endpoint_options(fd);
-  seed_buffer_marks(cfg_.rank, peer);
+  return std::make_unique<FdChannel>(cfg_, fd);
 }
 
 // ----------------------------------------------------------------- ShmMesh
@@ -679,11 +598,9 @@ void ShmMesh::teardown() {
   pairs_.assign(pairs_.size(), ShmPairView{});
 }
 
-ShmPairView* ShmMesh::shm_pair(int pid, int peer) {
-  if (pid != cfg_.rank || peer == pid) return nullptr;
-  if (peer < 0 || peer >= nprocs_) return nullptr;
-  if (maps_[static_cast<std::size_t>(peer)].base == nullptr) return nullptr;
-  return &pairs_[static_cast<std::size_t>(peer)];
+std::unique_ptr<Channel> ShmMesh::make_channel(int fd, int peer) {
+  return std::make_unique<RingChannel>(
+      cfg_, pairs_[static_cast<std::size_t>(peer)], fd);
 }
 
 void ShmMesh::do_build(int nprocs) {

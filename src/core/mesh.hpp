@@ -1,13 +1,14 @@
 // Mesh/bootstrap layer of the socket-family transports.
 //
-// A Mesh owns the endpoint fds of the paper's Appendix B.3 interconnect —
-// one full-duplex stream per (pid, peer) pair — and everything about their
-// lifecycle: build and teardown, the wire-dirty rebuild contract, and kernel
-// buffer sizing. It knows nothing about the exchange protocol; the
-// exchange engine (core/exchange_engine.hpp) pumps bytes through
-// whatever fds the mesh hands it. This is the seam that lets the same v2
-// sectioned wire format run over in-process AF_UNIX socketpairs and over
-// AF_INET/TCP or shared memory between separate OS processes.
+// A Mesh owns the endpoints of the paper's Appendix B.3 interconnect — one
+// full-duplex stream per (pid, peer) pair — and everything about their
+// lifecycle: build and teardown and the wire-dirty rebuild contract. It
+// hands out one Channel (core/channel.hpp) per pair and knows nothing about
+// the exchange protocol; the exchange engine (core/exchange_engine.hpp)
+// runs the protocol over those channels without knowing the medium. This is
+// the seam that lets the same v2 sectioned wire format run over in-process
+// AF_UNIX socketpairs and over AF_INET/TCP or shared memory between
+// separate OS processes.
 //
 // Three implementations, one per mesh delivery (MeshTransport picks one):
 //
@@ -21,20 +22,17 @@
 //     tools/bsp_launch). Both bootstrap through the one RendezvousMesh
 //     listen/dial/accept sweep with a versioned RankHello; they differ only
 //     in the listener address (AF_INET host:port+r vs an abstract AF_UNIX
-//     name), the shm segment handoff after the hello, and the per-endpoint
-//     finish.
+//     name), the shm segment handoff after the hello, and the channel each
+//     endpoint becomes (an FdChannel over the TCP stream, a RingChannel
+//     over the pair segment).
 //
 // Dirty-wire contract (shared with the transports): a mesh starts dirty, so
 // the first build() happens on the first reset_run(). A worker that unwinds
 // mid-stage calls mark_dirty() (possible half-written stage bytes in kernel
 // buffers or, across processes, a desynchronised peer), and the next
 // reset_run() rebuilds from scratch. Clean runs reuse the mesh as-is —
-// builds() stays flat, which the reuse tests assert.
-//
-// Kernel buffer sizing lives here because it is an endpoint property: the
-// engine reports each stage's expected byte count and the mesh grows
-// SO_SNDBUF/SO_RCVBUF toward it, grow-only per (pid, peer) direction and
-// bounded, unless Config::socket_buffer_bytes pinned the size at build.
+// builds() stays flat, which the reuse tests assert. Channels live exactly as
+// long as the build that made them.
 #pragma once
 
 #include <sys/socket.h>
@@ -43,16 +41,17 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/channel.hpp"
 #include "core/config.hpp"
-#include "core/shm_ring.hpp"
 
 namespace gbsp {
 namespace detail {
 
-/// Abstract endpoint mesh: fd lifecycle + buffer sizing for one run
+/// Abstract endpoint mesh: endpoint and channel lifecycle for one run
 /// topology. Not thread-safe except where noted (mark_dirty may be called
 /// from concurrently failing workers; everything else is single-threaded
 /// between runs or per-pid during a run).
@@ -79,29 +78,21 @@ class Mesh {
   /// The local end of pid's full-duplex stream with peer, or -1 for self
   /// (stage 0 is self-delivery and never touches the wire). For the
   /// cross-process meshes, pid must be the local rank.
-  [[nodiscard]] virtual int fd(int pid, int peer) const = 0;
+  [[nodiscard]] int fd(int pid, int peer) const {
+    const Channel* c = channel(pid, peer);
+    return c != nullptr ? c->fd() : -1;
+  }
+
+  /// pid's channel with peer, valid until the next build() or teardown;
+  /// nullptr for self and for ranks this process does not host.
+  [[nodiscard]] Channel* channel(int pid, int peer) const {
+    return channels_[slot(pid, peer)].get();
+  }
 
   /// Fault hook: hard-shutdown (not close) of every endpoint `pid` owns, as
   /// if its process died mid-superstep. Peers observe EOF on their next
   /// read. Marks the wire dirty.
-  virtual void kill_endpoints(int pid) = 0;
-
-  /// Grow-only SO_SNDBUF/SO_RCVBUF request toward `stage_bytes` for pid's
-  /// endpoint with peer (adaptive mode only; no-op when pinned or when the
-  /// high-water mark already covers it). Virtual because ShmMesh has no
-  /// kernel buffers to size — its fds are a control channel, not the data
-  /// path.
-  virtual void grow_kernel_buffer(int pid, int peer, bool send_side,
-                                  std::size_t stage_bytes);
-
-  /// Shared-memory view of pid's pair with peer, or nullptr for meshes whose
-  /// data path is the fds themselves. A non-null view switches the exchange
-  /// engine onto the zero-syscall ring pumps (core/shm_ring.hpp).
-  [[nodiscard]] virtual ShmPairView* shm_pair(int pid, int peer) {
-    (void)pid;
-    (void)peer;
-    return nullptr;
-  }
+  void kill_endpoints(int pid);
 
   /// Marks the wire unusable for reuse; the next build() rebuilds. Safe to
   /// call from concurrently failing workers.
@@ -118,34 +109,22 @@ class Mesh {
 
  protected:
   /// Implementation bootstrap: create (and across processes, rendezvous +
-  /// handshake) every endpoint. Throws BspTransportError on failure; build()
-  /// handles teardown and bookkeeping.
+  /// handshake) every endpoint and its channel. Throws BspTransportError on
+  /// failure; build() handles teardown and bookkeeping.
   virtual void do_build(int nprocs) = 0;
 
-  /// Seeds the grow-only marks of (pid, peer) with what the kernel granted
-  /// the endpoint at build, so stages that fit the default buffers never
-  /// touch setsockopt.
-  void seed_buffer_marks(int pid, int peer);
-
-  /// Applies the per-endpoint build-time socket options shared by both
-  /// meshes: non-blocking mode and, when Config::socket_buffer_bytes pins
-  /// the kernel buffers, one explicit SO_SNDBUF/SO_RCVBUF request.
-  void apply_endpoint_options(int fd) const;
-
-  const Config cfg_;
-  int nprocs_ = 0;
-
- private:
-  [[nodiscard]] std::size_t mark_index(int pid, int peer) const {
+  [[nodiscard]] std::size_t slot(int pid, int peer) const {
     return static_cast<std::size_t>(pid) * static_cast<std::size_t>(nprocs_) +
            static_cast<std::size_t>(peer);
   }
 
-  // Grow-only high-water marks of requested kernel buffer sizes, indexed
-  // pid * nprocs + peer, so adaptive sizing costs at most O(log stage bytes)
-  // setsockopt calls per endpoint direction.
-  std::vector<std::size_t> snd_grown_to_;
-  std::vector<std::size_t> rcv_grown_to_;
+  const Config cfg_;
+  int nprocs_ = 0;
+  // channels_[slot(pid, peer)], filled by do_build; null on the diagonal
+  // and for ranks hosted elsewhere.
+  std::vector<std::unique_ptr<Channel>> channels_;
+
+ private:
   std::atomic<bool> dirty_{true};
   std::uint64_t builds_ = 0;
 };
@@ -159,8 +138,6 @@ class SocketpairMesh final : public Mesh {
 
   [[nodiscard]] const char* name() const override { return "socketpair"; }
   void teardown() override;
-  [[nodiscard]] int fd(int pid, int peer) const override;
-  void kill_endpoints(int pid) override;
 
  protected:
   void do_build(int nprocs) override;
@@ -203,16 +180,13 @@ static_assert(sizeof(RankHello) == 24, "rank handshake layout drifted");
 ///
 /// A subclass supplies only what differs: the listener address, the step
 /// after a validated hello on each side (on_dialed / on_accepted), and the
-/// per-endpoint finish once the rendezvous completes.
+/// channel each endpoint becomes once the rendezvous completes.
 class RendezvousMesh : public Mesh {
  public:
   explicit RendezvousMesh(const Config& cfg) : Mesh(cfg) {}
   ~RendezvousMesh() override { RendezvousMesh::teardown(); }
 
   void teardown() override;
-  /// pid must be the local rank; any other pid has no endpoints here (-1).
-  [[nodiscard]] int fd(int pid, int peer) const override;
-  void kill_endpoints(int pid) override;
 
  protected:
   void do_build(int nprocs) override;
@@ -226,20 +200,11 @@ class RendezvousMesh : public Mesh {
   [[nodiscard]] virtual std::string bind_hint() const = 0;
   /// Runs on a link right after its hello validated: `fd` is still blocking
   /// with the bootstrap deadline as its I/O timeout.
-  virtual void on_dialed(int fd, int peer) {
-    (void)fd;
-    (void)peer;
-  }
-  virtual void on_accepted(int fd, int peer) {
-    (void)fd;
-    (void)peer;
-  }
-  /// Runs on every endpoint once the rendezvous completed and the
-  /// bootstrap I/O timeout is cleared.
-  virtual void finish_endpoint(int fd, int peer) {
-    (void)fd;
-    (void)peer;
-  }
+  virtual void on_dialed(int /*fd*/, int /*peer*/) {}
+  virtual void on_accepted(int /*fd*/, int /*peer*/) {}
+  /// Makes the channel of every endpoint once the rendezvous completed and
+  /// the bootstrap I/O timeout is cleared.
+  virtual std::unique_ptr<Channel> make_channel(int fd, int peer) = 0;
 
  private:
   /// Dials `peer`'s listener until the deadline and returns the validated
@@ -275,7 +240,7 @@ class TcpMesh final : public RendezvousMesh {
   [[nodiscard]] std::string bind_hint() const override {
     return "port already in use?";
   }
-  void finish_endpoint(int fd, int peer) override;
+  std::unique_ptr<Channel> make_channel(int fd, int peer) override;
 };
 
 /// Header page of one shm pair segment, written by the creating (lower)
@@ -304,7 +269,8 @@ static_assert(sizeof(ShmSegmentHdr) == 40, "shm segment header drifted");
 /// Both ends keep the AF_UNIX stream open as a control channel: it carries
 /// no data, but EOF on it is how a peer's death (or an injected PeerHangup)
 /// is observed without putting a single syscall on the data path, and
-/// kill_endpoints() shuts it down. fd(pid, peer) returns that control fd.
+/// kill_endpoints() shuts it down. fd(pid, peer) returns that control fd;
+/// channel(pid, peer) is a RingChannel over the pair's segment.
 class ShmMesh final : public RendezvousMesh {
  public:
   explicit ShmMesh(const Config& cfg) : RendezvousMesh(cfg) {}
@@ -312,9 +278,6 @@ class ShmMesh final : public RendezvousMesh {
 
   [[nodiscard]] const char* name() const override { return "shm"; }
   void teardown() override;
-  /// The data path is shared memory; there are no kernel buffers to size.
-  void grow_kernel_buffer(int, int, bool, std::size_t) override {}
-  [[nodiscard]] ShmPairView* shm_pair(int pid, int peer) override;
 
  protected:
   void do_build(int nprocs) override;
@@ -325,6 +288,7 @@ class ShmMesh final : public RendezvousMesh {
   void on_dialed(int fd, int peer) override;
   /// Creates the pair segment and passes its fd to the dialing rank.
   void on_accepted(int fd, int peer) override;
+  std::unique_ptr<Channel> make_channel(int fd, int peer) override;
 
  private:
   struct Mapping {

@@ -12,8 +12,9 @@
 // never arises. The producer writes payload bytes first and publishes with a
 // release store of tail; the consumer acquires tail, copies, and publishes
 // consumption with a release store of head — the only synchronisation on the
-// steady-state data path. No futex, no pipe, no syscall: waiting is the
-// engine's spin-then-yield policy (core/exchange_engine.cpp).
+// steady-state data path. No futex, no pipe, no syscall: RingChannel
+// (core/channel.hpp) runs both ends, validates the peer's cursor against
+// the capacity, and waits with the exchange's spin-then-nap policy.
 //
 // `boundaries_opened` is the direction's zero-copy epoch feedback channel:
 // the CONSUMER stores its count of opened superstep boundaries (the moment
@@ -21,12 +22,9 @@
 // slab half may be recycled. See DESIGN.md section 15.
 #pragma once
 
-#include <sys/uio.h>  // iovec
-
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 namespace gbsp {
 namespace detail {
@@ -62,92 +60,6 @@ struct ShmPairView {
   ShmDirView send;
   ShmDirView recv;
 };
-
-/// Producer side: copies up to `max_bytes` from the scatter-gather list into
-/// the ring (as much as fits) and publishes the new tail. Returns bytes
-/// written; 0 means the ring is full — the shm analogue of EAGAIN.
-inline std::size_t shm_ring_write(ShmDirView& d, const iovec* iov,
-                                  std::size_t iovcnt, std::size_t max_bytes) {
-  const std::uint64_t tail = d.ctl->tail.load(std::memory_order_relaxed);
-  const std::uint64_t head = d.ctl->head.load(std::memory_order_acquire);
-  std::size_t space = d.ring_cap - static_cast<std::size_t>(tail - head);
-  if (space > max_bytes) space = max_bytes;
-  if (space == 0) return 0;
-  std::size_t written = 0;
-  std::uint64_t cursor = tail;
-  for (std::size_t e = 0; e < iovcnt && written < space; ++e) {
-    const std::byte* src = static_cast<const std::byte*>(iov[e].iov_base);
-    std::size_t n = iov[e].iov_len;
-    if (n > space - written) n = space - written;
-    // Up to two memcpys per entry: the run to the ring's end, then the wrap.
-    std::size_t off = 0;
-    while (off < n) {
-      const std::size_t pos = static_cast<std::size_t>(cursor % d.ring_cap);
-      std::size_t chunk = d.ring_cap - pos;
-      if (chunk > n - off) chunk = n - off;
-      std::memcpy(d.ring + pos, src + off, chunk);
-      off += chunk;
-      cursor += chunk;
-    }
-    written += n;
-  }
-  d.ctl->tail.store(tail + written, std::memory_order_release);
-  return written;
-}
-
-/// Consumer side: copies up to `want` available bytes into `dst` and
-/// publishes the new head. Returns bytes read; 0 means the ring is empty.
-inline std::size_t shm_ring_read(ShmDirView& d, std::byte* dst,
-                                 std::size_t want) {
-  const std::uint64_t head = d.ctl->head.load(std::memory_order_relaxed);
-  const std::uint64_t tail = d.ctl->tail.load(std::memory_order_acquire);
-  std::size_t avail = static_cast<std::size_t>(tail - head);
-  if (avail > want) avail = want;
-  if (avail == 0) return 0;
-  std::size_t off = 0;
-  std::uint64_t cursor = head;
-  while (off < avail) {
-    const std::size_t pos = static_cast<std::size_t>(cursor % d.ring_cap);
-    std::size_t chunk = d.ring_cap - pos;
-    if (chunk > avail - off) chunk = avail - off;
-    std::memcpy(dst + off, d.ring + pos, chunk);
-    off += chunk;
-    cursor += chunk;
-  }
-  d.ctl->head.store(head + avail, std::memory_order_release);
-  return avail;
-}
-
-/// Consumer side, scatter-gather: fills the list's entries in order from the
-/// ring, up to `max_bytes`. Returns bytes read; 0 means the ring is empty.
-inline std::size_t shm_ring_read_iov(ShmDirView& d, const iovec* iov,
-                                     std::size_t iovcnt,
-                                     std::size_t max_bytes) {
-  const std::uint64_t head = d.ctl->head.load(std::memory_order_relaxed);
-  const std::uint64_t tail = d.ctl->tail.load(std::memory_order_acquire);
-  std::size_t avail = static_cast<std::size_t>(tail - head);
-  if (avail > max_bytes) avail = max_bytes;
-  if (avail == 0) return 0;
-  std::size_t read = 0;
-  std::uint64_t cursor = head;
-  for (std::size_t e = 0; e < iovcnt && read < avail; ++e) {
-    std::byte* dst = static_cast<std::byte*>(iov[e].iov_base);
-    std::size_t n = iov[e].iov_len;
-    if (n > avail - read) n = avail - read;
-    std::size_t off = 0;
-    while (off < n) {
-      const std::size_t pos = static_cast<std::size_t>(cursor % d.ring_cap);
-      std::size_t chunk = d.ring_cap - pos;
-      if (chunk > n - off) chunk = n - off;
-      std::memcpy(dst + off, d.ring + pos, chunk);
-      off += chunk;
-      cursor += chunk;
-    }
-    read += n;
-  }
-  d.ctl->head.store(head + read, std::memory_order_release);
-  return read;
-}
 
 /// On-wire descriptor of a zero-copy frame: what travels through the ring
 /// (flagged by WireFrameHeader::pad == 1) instead of the payload itself.

@@ -1,14 +1,7 @@
 #include "core/transport_mesh.hpp"
 
-#include <poll.h>
-
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
-
-#include "core/barrier.hpp"  // BspAborted
 
 namespace gbsp {
 
@@ -135,7 +128,6 @@ void MeshTransport::finish_exchange(detail::WorkerState& st) {
 
 void MeshTransport::exchange(
     const std::vector<std::unique_ptr<detail::WorkerState>>& states) {
-  using Clock = std::chrono::steady_clock;
   const int p = static_cast<int>(states.size());
   if (p == 1) {
     if (!states[0]->finished) deliver_to(*states[0]);
@@ -151,8 +143,7 @@ void MeshTransport::exchange(
       inject_boundary_fault(FaultSite::Deliver, st);
       engine_of(i).begin_window(st);
     }
-    auto last_progress = Clock::now();
-    std::size_t backoff_ms = cfg_.socket_backoff_initial_ms;
+    wait_.progressed();
     for (;;) {
       bool all_done = true;
       std::size_t moved = 0;
@@ -164,15 +155,10 @@ void MeshTransport::exchange(
       }
       if (all_done) break;
       if (moved != 0) {
-        last_progress = Clock::now();
-        backoff_ms = cfg_.socket_backoff_initial_ms;
+        wait_.progressed();
         continue;
       }
-      if (abort_ != nullptr && abort_->load(std::memory_order_acquire)) {
-        throw BspAborted{};
-      }
-      const auto idle = Clock::now() - last_progress;
-      if (idle > std::chrono::milliseconds(cfg_.socket_stage_timeout_ms)) {
+      if (wait_.timed_out()) {
         throw BspTransportError(
             "serialized staged exchange made no progress for " +
                 std::to_string(cfg_.socket_stage_timeout_ms) + " ms",
@@ -180,28 +166,21 @@ void MeshTransport::exchange(
             static_cast<std::int64_t>(states[0]->superstep), /*stage=*/-1,
             /*err=*/0, /*bytes_moved=*/0);
       }
-      // Same adaptive spin as the threaded driver; on a single thread the
-      // yield is a no-op and the spin just retries the round.
-      if (idle < std::chrono::microseconds(cfg_.socket_spin_us)) {
-        std::this_thread::yield();
-        continue;
-      }
       // Every window is blocked (kernel buffers momentarily full on one
-      // side, empty on the other): wait for any endpoint.
-      poll_fds_.clear();
+      // side, empty on the other): the engines' one idle wait, over every
+      // engine's pending channels. On a single thread the spin's yield is a
+      // no-op and the spin just retries the round.
+      wait_.clear();
       for (int i = 0; i < p; ++i) {
-        const detail::ExchangeEngine& e = engine_of(i);
-        if (!e.window_done()) e.append_poll_fds(poll_fds_);
+        engine_of(i).add_waits(wait_, *states[static_cast<std::size_t>(i)]);
       }
-      if (::poll(poll_fds_.data(), static_cast<nfds_t>(poll_fds_.size()),
-                 static_cast<int>(backoff_ms)) < 0 &&
-          errno != EINTR) {
+      if (wait_.spin()) continue;
+      if (!wait_.nap()) {
         throw BspTransportError(
             "poll in serialized staged exchange failed", /*rank=*/-1,
             /*peer=*/-1, static_cast<std::int64_t>(states[0]->superstep),
             /*stage=*/-1, errno, /*bytes_moved=*/0);
       }
-      backoff_ms = std::min(backoff_ms * 2, cfg_.socket_backoff_max_ms);
     }
     // Every window is done; finish_window only closes it.
     for (int i = 0; i < p; ++i) {

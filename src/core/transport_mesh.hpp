@@ -6,21 +6,24 @@
 //     SocketpairMesh (Socket: p ranks as threads of this process, AF_UNIX
 //     socketpairs), TcpMesh (Tcp: this process is rank Config::rank, one
 //     AF_INET stream per peer) or ShmMesh (Shm: rank Config::rank, shared
-//     memory rings per peer). The mesh owns fd lifecycle, the bootstrap,
-//     the dirty-wire rebuild contract, and kernel buffer sizing.
+//     memory rings per peer). The mesh owns endpoint lifecycle, the
+//     bootstrap, the dirty-wire rebuild contract, and one Channel
+//     (core/channel.hpp) per pair: an FdChannel over a socket, a
+//     RingChannel over a shm pair segment. A channel owns its medium's
+//     buffering, kernel buffer sizing, wait constants and peer-death check.
 //   * one ExchangeEngine (core/exchange_engine.hpp) per WorkerState this
 //     process hosts, indexed by pid: p engines in-process, the local rank's
 //     one under bsp_launch. The engine owns the v2 sectioned wire format,
-//     the schedule, the gather paths, the per-peer receive buffers,
-//     spin-then-poll waiting, split-phase windows, and the fault-injection
-//     sites.
+//     the schedule, one send path and one receive path over the channels,
+//     the idle wait, split-phase windows, and the fault-injection sites.
 //
 // This class is the Transport seam glue: it routes stage_send/sync through
 // the right worker's engine, publishes inbox views after each boundary
 // (re-pointing zero-copy shm frames at the shared mapping), marks the mesh
 // dirty when a worker unwinds mid-stage, and drives the Serialized-mode
-// exchange: rounds of every engine's window from one thread. Nothing above the fds
-// changes between loopback socketpairs, a real LAN, and shared memory.
+// exchange: rounds of every engine's window from one thread, waiting in the
+// same IdleWait the engines use. Nothing above the channels changes between
+// loopback socketpairs, a real LAN, and shared memory.
 //
 // Lifecycle: the mesh is built once and *reused across Runtime::run()
 // calls* while every exchange completes cleanly (a drained stream has
@@ -54,7 +57,9 @@ class MeshTransport final : public detail::TransportBase {
   MeshTransport(const Config& cfg, SlabPool& pool,
                 const std::atomic<bool>* abort_flag,
                 std::unique_ptr<detail::Mesh> mesh)
-      : TransportBase(cfg, pool, abort_flag), mesh_(std::move(mesh)) {}
+      : TransportBase(cfg, pool, abort_flag),
+        mesh_(std::move(mesh)),
+        wait_(cfg_, abort_) {}
 
   [[nodiscard]] const char* name() const override {
     return to_string(cfg_.delivery);
@@ -77,7 +82,7 @@ class MeshTransport final : public detail::TransportBase {
   // Split-phase overlap: begin_exchange opens the boundary and puts every
   // peer's stage on the wire out of the staging arenas; progress() runs one
   // non-blocking round of every pending send and receive; finish_exchange
-  // resumes them all with the blocking spin-then-poll driver and publishes
+  // resumes them all with the blocking spin-then-nap driver and publishes
   // the inbox views. The window's wall-clock counts against
   // Config::socket_stage_timeout_ms exactly like slow peer compute in a
   // rigid boundary — the timeout must exceed the longest overlap window.
@@ -121,7 +126,7 @@ class MeshTransport final : public detail::TransportBase {
   // whose addresses its own stage states point at — it must never
   // relocate).
   std::vector<std::unique_ptr<detail::ExchangeEngine>> eng_;
-  std::vector<pollfd> poll_fds_;  // Serialized driver's poll set, reused
+  detail::IdleWait wait_;  // the Serialized driver's idle wait, reused
 };
 
 }  // namespace gbsp

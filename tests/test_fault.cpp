@@ -458,6 +458,79 @@ TEST(ShmFault, InjectedPeerHangupRecoversAcrossRanks) {
       << "rank 0 never observed its peer's death through the control channel";
 }
 
+// Benign storms on the ring path: simulated EINTR, EAGAIN and short
+// transfers at every syscall site of the shm exchange (ring writes, ring
+// refills, idle polls) must be absorbed in place — no recovery, and the
+// result bit-identical to the fault-free run. ShortIo feeds the rings three
+// bytes at a time, so preambles and header blocks straddle refills.
+class ShmFaultStorm : public ::testing::TestWithParam<FaultKind> {};
+
+TEST_P(ShmFaultStorm, IsAbsorbedBitIdentical) {
+  const int p = 2;
+  const std::string name = "fst" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           "k" + std::to_string(static_cast<int>(GetParam()));
+  std::vector<std::uint64_t> expected(static_cast<std::size_t>(p), 0);
+  std::vector<std::uint64_t> got(static_cast<std::size_t>(p), 0);
+  std::vector<RunStats> stats(static_cast<std::size_t>(p));
+  std::vector<std::thread> ranks;
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    ranks.emplace_back([&, r] {
+      try {
+        Config cfg;
+        cfg.nprocs = p;
+        cfg.delivery = DeliveryStrategy::Shm;
+        cfg.rank = r;
+        cfg.shm_name = name;
+        cfg.deterministic_delivery = true;
+        cfg.collect_stats = true;
+        cfg.socket_stage_timeout_ms = 20'000;
+        cfg.tcp_connect_timeout_ms = 20'000;
+        Runtime rt(cfg);
+        expected[static_cast<std::size_t>(r)] =
+            run_ring(rt, nullptr)[static_cast<std::size_t>(r)];
+        FaultPlan plan;
+        for (FaultSite site :
+             {FaultSite::SendCall, FaultSite::RecvCall, FaultSite::PollCall}) {
+          FaultRule rule;
+          rule.site = site;
+          rule.kind = GetParam();
+          rule.count = 100;
+          rule.arg = 3;  // ShortIo: bytes per transfer
+          plan.rules.push_back(rule);
+        }
+        rt.set_fault_plan(plan);
+        got[static_cast<std::size_t>(r)] = run_ring(
+            rt, &stats[static_cast<std::size_t>(r)])[static_cast<std::size_t>(r)];
+      } catch (...) {
+        errors[static_cast<std::size_t>(r)] = std::current_exception();
+      }
+    });
+  }
+  for (auto& t : ranks) t.join();
+  for (auto& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  EXPECT_EQ(got, expected) << "faulted shm run diverged from fault-free run";
+  for (int r = 0; r < p; ++r) {
+    const RunStats& s = stats[static_cast<std::size_t>(r)];
+    EXPECT_EQ(s.recoveries, 0u) << "rank " << r << ": a benign storm retried";
+    EXPECT_GT(s.total_injected_faults(), 0u) << "rank " << r;
+    EXPECT_EQ(s.total_wire_syscalls(), 0u) << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RingSyscallSites, ShmFaultStorm,
+                         ::testing::Values(FaultKind::Eintr, FaultKind::Eagain,
+                                           FaultKind::ShortIo),
+                         [](const auto& info) {
+                           return info.param == FaultKind::Eintr ? "Eintr"
+                                  : info.param == FaultKind::Eagain
+                                      ? "Eagain"
+                                      : "ShortIo";
+                         });
+
 TEST(FaultInjector, AbortErrorsCarryContext) {
   Config cfg = base_config(DeliveryStrategy::Socket);
   Runtime rt(cfg);

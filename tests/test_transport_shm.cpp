@@ -28,9 +28,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/channel.hpp"
 #include "core/mesh.hpp"
 #include "core/runtime.hpp"
-#include "core/shm_ring.hpp"
 #include "core/transport.hpp"
 #include "core/transport_mesh.hpp"
 
@@ -111,34 +111,38 @@ TEST(ShmMeshBootstrap, FullMeshAcrossFourRanks) {
     EXPECT_FALSE(mesh.dirty());
     EXPECT_EQ(mesh.builds(), 1u);
     EXPECT_EQ(mesh.fd(r, r), -1) << "self-delivery never touches the wire";
-    EXPECT_EQ(mesh.shm_pair(r, r), nullptr);
+    EXPECT_EQ(mesh.channel(r, r), nullptr);
     for (int peer = 0; peer < p; ++peer) {
       if (peer == r) continue;
       EXPECT_GE(mesh.fd(r, peer), 0)
           << "control channel " << r << " <-> " << peer;
-      detail::ShmPairView* pv = mesh.shm_pair(r, peer);
-      ASSERT_NE(pv, nullptr) << "pair view " << r << " <-> " << peer;
+      auto* ring = dynamic_cast<detail::RingChannel*>(mesh.channel(r, peer));
+      ASSERT_NE(ring, nullptr) << "pair view " << r << " <-> " << peer;
+      const detail::ShmPairView* pv = &ring->pair();
       ASSERT_NE(pv->send.ctl, nullptr);
       ASSERT_NE(pv->recv.ctl, nullptr);
       EXPECT_GT(pv->send.ring_cap, 0u);
       EXPECT_GT(pv->send.slab_cap, 0u);
     }
+    std::uint64_t syscalls = 0;
+    const detail::IoSite at{r, -1, -1, -1, 0, &syscalls};
     // One byte each way per pair through the rings proves both ends mapped
     // the SAME segment with the directions crossed correctly.
     for (int peer = 0; peer < p; ++peer) {
       if (peer == r) continue;
-      detail::ShmPairView* pv = mesh.shm_pair(r, peer);
+      detail::Channel* ch = mesh.channel(r, peer);
       const std::byte out{static_cast<unsigned char>(0x40 + r)};
       iovec iov{const_cast<std::byte*>(&out), 1};
-      ASSERT_EQ(detail::shm_ring_write(pv->send, &iov, 1, SIZE_MAX), 1u);
+      ASSERT_EQ(ch->write(&iov, 1, 0, at), 1u);
     }
     for (int peer = 0; peer < p; ++peer) {
       if (peer == r) continue;
-      detail::ShmPairView* pv = mesh.shm_pair(r, peer);
+      detail::Channel* ch = mesh.channel(r, peer);
       std::byte in{};
+      iovec iov{&in, 1};
       std::size_t got = 0;
       for (int tries = 0; tries < 2000 && got == 0; ++tries) {
-        got = detail::shm_ring_read(pv->recv, &in, 1);
+        got = ch->read(&iov, 1, 1, 0, at);
         if (got == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       ASSERT_EQ(got, 1u);
@@ -637,6 +641,163 @@ TEST(ShmRuntime, PeerDeathSurfacesAndMeshRebuilds) {
   });
   rank0.join();
   rank1.join();
+}
+
+TEST(ShmRuntime, StagesLargerThanTheRingStreamExactly) {
+  // The smallest ring (4 KiB) and no slab: every stage below is several
+  // rings long, so each one streams through wraps and partial reads — the
+  // ring is the receive buffer, consumed one readable run at a time, while
+  // the producer refills behind it. Frame sizes straddle the ring size.
+  const int p = 4;
+  const std::string name = seg_name(13);
+  const int steps = 8;
+  constexpr std::size_t kSizes[] = {1, 15, 17, 4095, 4097, 12000};
+  const auto byte_at = [](int src, int dst, int step, std::size_t len,
+                          std::size_t i) {
+    return static_cast<std::uint8_t>((i * 7 + len + src * 31 + dst * 13 +
+                                      step * 5) &
+                                     0xff);
+  };
+  on_ranks(p, [&](int r) {
+    Config cfg = rank_cfg(r, p, name);
+    cfg.shm_ring_bytes = 4096;
+    cfg.shm_slab_bytes = 0;
+    Runtime rt(cfg);
+    const RunStats stats = rt.run([&](Worker& w) {
+      for (int s = 0; s < steps; ++s) {
+        for (int d = 0; d < w.nprocs(); ++d) {
+          if (d == w.pid()) continue;
+          for (std::size_t len : kSizes) {
+            std::vector<std::uint8_t> frame(len);
+            for (std::size_t i = 0; i < len; ++i) {
+              frame[i] = byte_at(w.pid(), d, s, len, i);
+            }
+            w.send_bytes(d, frame.data(), frame.size());
+          }
+        }
+        w.sync();
+        std::size_t got = 0;
+        while (const Message* m = w.get_message()) {
+          const int src = static_cast<int>(m->source);
+          for (std::size_t i = 0; i < m->size(); ++i) {
+            if (static_cast<std::uint8_t>(m->payload[i]) !=
+                byte_at(src, w.pid(), s, m->size(), i)) {
+              throw std::logic_error("shm: payload corrupted across a wrap");
+            }
+          }
+          ++got;
+        }
+        if (got != std::size(kSizes) * static_cast<std::size_t>(p - 1)) {
+          throw std::logic_error("shm: lost frames");
+        }
+      }
+    });
+    EXPECT_EQ(stats.total_wire_zc_bytes(), 0u) << "no slab, no zero-copy";
+    EXPECT_EQ(stats.total_wire_syscalls(), 0u);
+  });
+}
+
+TEST(ShmRuntime, PeerExitingRightAfterItsLastStageIsNotADeath) {
+  // Rank 1 reaches the run's last boundary first and naps in its idle
+  // wait; rank 0 arrives 20 ms later, writes its stage into the ring,
+  // finishes the run and exits at once, closing the control stream. The
+  // wake on that EOF must let rank 1 drain the ring instead of reporting a
+  // peer death.
+  const std::string name = seg_name(14);
+  for (int round = 0; round < 3; ++round) {
+    on_ranks(2, [&](int r) {
+      Runtime rt(rank_cfg(r, 2, name));
+      rt.run([](Worker& w) {
+        w.send(1 - w.pid(), 40 + w.pid());
+        if (w.pid() == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        w.sync();
+        const Message* m = w.get_message();
+        if (m == nullptr || m->as<int>() != 40 + (1 - w.pid())) {
+          throw std::logic_error("shm: stage lost");
+        }
+      });
+    });
+  }
+}
+
+// --------------------------------------------------------------------------
+// Ring cursors are peer-controlled: a RingChannel over a local direction
+// block (send and receive share it, a loopback pair) must reject a cursor
+// pair claiming more unread bytes than the ring holds, on either side.
+// --------------------------------------------------------------------------
+
+struct LocalDirection {
+  detail::ShmRingCtl ctl{};
+  std::byte ring[4096] = {};
+
+  detail::ShmPairView pair() {
+    detail::ShmDirView d;
+    d.ctl = &ctl;
+    d.ring = ring;
+    d.ring_cap = sizeof(ring);
+    return {d, d};
+  }
+};
+
+// Writes then reads 24 bytes through the loopback channel.
+void round_trip_24(detail::RingChannel& ch, const detail::IoSite& at) {
+  std::byte out[24] = {};
+  std::byte in[24];
+  iovec wv{out, sizeof(out)};
+  iovec rv{in, sizeof(in)};
+  ASSERT_EQ(ch.write(&wv, 1, 0, at), 24u);
+  ASSERT_EQ(ch.read(&rv, 1, sizeof(in), 0, at), 24u);
+}
+
+void expect_cursor_error(const BspTransportError& e) {
+  const std::string what = e.what();
+  EXPECT_NE(what.find("ring cursors out of range"), std::string::npos)
+      << what;
+  EXPECT_EQ(e.rank, 3);
+  EXPECT_EQ(e.peer, 1);
+  EXPECT_EQ(e.stage, 2);
+}
+
+TEST(ShmRingCursors, ConsumerRejectsATailBeyondTheRing) {
+  LocalDirection dir;
+  const Config cfg;
+  detail::RingChannel ch(cfg, dir.pair(), /*ctl_fd=*/-1);
+  std::uint64_t syscalls = 0;
+  const detail::IoSite at{3, 1, 5, 2, 0, &syscalls};
+  round_trip_24(ch, at);
+  // A forged tail one ring plus a stage ahead: trusting it would hand back
+  // stale ring bytes that parse as an empty stage.
+  dir.ctl.tail.store(dir.ctl.head.load() + sizeof(dir.ring) + 24);
+  std::byte in[24];
+  iovec rv{in, sizeof(in)};
+  try {
+    (void)ch.read(&rv, 1, sizeof(in), 0, at);
+    FAIL() << "a tail beyond the ring's capacity must be rejected";
+  } catch (const BspTransportError& e) {
+    expect_cursor_error(e);
+  }
+  EXPECT_EQ(syscalls, 0u);
+}
+
+TEST(ShmRingCursors, ProducerRejectsAHeadPastTheTail) {
+  LocalDirection dir;
+  const Config cfg;
+  detail::RingChannel ch(cfg, dir.pair(), /*ctl_fd=*/-1);
+  std::uint64_t syscalls = 0;
+  const detail::IoSite at{3, 1, 5, 2, 0, &syscalls};
+  round_trip_24(ch, at);
+  // A forged head past the tail: the free space would underflow.
+  dir.ctl.head.store(dir.ctl.tail.load() + 100);
+  std::byte out[24] = {};
+  iovec wv{out, sizeof(out)};
+  try {
+    (void)ch.write(&wv, 1, 0, at);
+    FAIL() << "a head past the tail must be rejected";
+  } catch (const BspTransportError& e) {
+    expect_cursor_error(e);
+  }
 }
 
 }  // namespace
