@@ -142,7 +142,7 @@ void cannon_body(Worker& w, const double* Aflat, const double* Bflat, int n,
 
   for (int t = 0; t < q; ++t) {
     if (mode == SyncMode::SplitPhase && t + 1 < q) {
-      // Ship the resident blocks first (stage_send copies them out), then
+      // Ship the resident blocks first (send copies them out), then
       // multiply inside the window while the shift travels. Same kernel,
       // same operands, same order as the rigid iteration below.
       w.send_array(right, a);

@@ -79,7 +79,7 @@ int cannon_active_grid_dim(int nprocs, int n);
 /// q x q grid idle through the same 2*(q-1) sync()s as the active ones.
 ///
 /// SyncMode::SplitPhase reorders each shift iteration to ship the resident
-/// A/B blocks *before* multiplying them (stage_send copies, so the blocks
+/// A/B blocks *before* multiplying them (send copies, so the blocks
 /// stay readable), then runs the O((n/q)^3) dgemm inside the split-phase
 /// window while they travel.  Same boundary count, same message bytes, and —
 /// because the same kernel runs on the same operands in the same order —

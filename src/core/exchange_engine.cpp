@@ -108,7 +108,7 @@ std::byte* ExchangeEngine::reserve(WorkerState& st, int dest, std::size_t n) {
                                            st.seq_to[d]++, sizeof(desc));
       std::memcpy(dslot, &desc, sizeof(desc));
       zc_out_[d].push_back(outbox_[d].message_count() - 1);
-      st.wire_zc_bytes += n;
+      st.step.wire_zc_bytes += n;
       return slot;
     }
   }
@@ -138,7 +138,7 @@ void ExchangeEngine::apply_zc_views(WorkerState& dst,
     std::memcpy(&desc, m.payload.data(), sizeof(desc));
     m.payload = channel(z.src).resolve_zc(
         desc, site(dst, z.src, /*k=*/-1, /*moved=*/0));
-    dst.wire_zc_bytes += desc.len;
+    dst.step.wire_zc_bytes += desc.len;
     if (cfg_->collect_stats) {
       // append_views charged the 16 descriptor bytes; swap that for the
       // payload's true h-relation contribution.
@@ -165,7 +165,7 @@ void ExchangeEngine::begin_stage(StageState& ss, int k) {
   ss.send_pre.payload_bytes = ob.payload_bytes();
   // Pack the header block; payloads are NOT serialized — the iovec below
   // points sendmsg straight at the staging arena's slabs, so the payload
-  // section leaves the process from the memory stage_send wrote it to.
+  // section leaves the process from the memory the sender built it in.
   std::vector<std::byte>& hdr_out = ss.hdr_out;
   hdr_out.clear();
   hdr_out.reserve(static_cast<std::size_t>(ss.send_pre.header_bytes));
@@ -217,7 +217,7 @@ std::optional<FaultInjector::Decision> ExchangeEngine::syscall_fault(
   ctx.peer = peer;
   auto d = inj->before_call(at, ctx);
   if (!d) return std::nullopt;
-  st.injected_faults += 1;
+  st.step.injected_faults += 1;
   switch (d->kind) {
     case FaultKind::DelayUs:
       std::this_thread::sleep_for(std::chrono::microseconds(d->arg));
@@ -244,7 +244,7 @@ void ExchangeEngine::maybe_corrupt(WorkerState& st, const StageState& ss,
   ctx.stage = ss.k;
   ctx.peer = src;
   if (const auto off = inj->corrupt_offset(FaultSite::RecvCall, ctx)) {
-    st.injected_faults += 1;
+    st.step.injected_faults += 1;
     buf[static_cast<std::size_t>(*off) % n] ^= std::byte{0xA5};
   }
 }
@@ -280,7 +280,7 @@ std::size_t ExchangeEngine::pump_send(WorkerState& st, StageState& ss) {
     advance_iov(iov, ss.send_idx, n);
     moved += n;
     ss.send_moved += static_cast<std::uint64_t>(n);
-    st.wire_bytes += static_cast<std::uint64_t>(n);
+    st.step.wire_bytes += static_cast<std::uint64_t>(n);
   }
   return moved;
 }

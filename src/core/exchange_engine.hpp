@@ -283,7 +283,7 @@ class ExchangeEngine {
   /// What a channel operation of stage k with `peer` reports on failure.
   static IoSite site(WorkerState& st, int peer, int k, std::uint64_t moved) {
     return {st.pid, peer, static_cast<std::int64_t>(st.superstep), k, moved,
-            &st.wire_syscalls};
+            &st.step.wire_syscalls};
   }
   [[nodiscard]] Channel& channel(int peer) const {
     return *chan_[static_cast<std::size_t>(peer)];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "core/transport.hpp"
@@ -30,22 +31,9 @@ void Worker::require_outside_window(const char* what) const {
 }
 
 void Worker::send_bytes(int dest, const void* data, std::size_t n) {
-  detail::WorkerState& st = *state_;
-  const Config& cfg = rt_->config();
   require_outside_window("send()");
-  if (dest < 0 || dest >= cfg.nprocs) {
-    throw std::out_of_range("gbsp: send to invalid processor " +
-                            std::to_string(dest));
-  }
-  rt_->transport_->stage_send(st, dest, data, n);
-
-  const std::uint64_t pkts = packets_for_bytes(n, cfg.packet_unit_bytes);
-  st.sent_packets += pkts;
-  st.sent_bytes += n;
-  st.sent_messages += 1;
-  if (cfg.collect_comm_matrix) {
-    st.sent_to[static_cast<std::size_t>(dest)] += pkts;
-  }
+  std::byte* slot = send_reserve(dest, n);
+  if (n != 0) std::memcpy(slot, data, n);
 }
 
 std::byte* Worker::send_reserve(int dest, std::size_t n) {
@@ -59,11 +47,11 @@ std::byte* Worker::send_reserve(int dest, std::size_t n) {
   std::byte* slot = rt_->transport_->stage_reserve(st, dest, n);
 
   const std::uint64_t pkts = packets_for_bytes(n, cfg.packet_unit_bytes);
-  st.sent_packets += pkts;
-  st.sent_bytes += n;
-  st.sent_messages += 1;
+  st.step.sent_packets += pkts;
+  st.step.sent_bytes += n;
+  st.step.sent_messages += 1;
   if (cfg.collect_comm_matrix) {
-    st.sent_to[static_cast<std::size_t>(dest)] += pkts;
+    st.step.sent_to_packets[static_cast<std::size_t>(dest)] += pkts;
   }
   return slot;
 }
@@ -125,54 +113,36 @@ Runtime::Runtime(Config cfg) : cfg_(cfg) {
 
 Runtime::~Runtime() = default;
 
+namespace {
+
+std::int64_t steady_now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+double work_slice_us(const detail::WorkerState& st) {
+  return static_cast<double>(ThreadCpuTimer::now_ns() - st.work_start_ns) *
+         1e-3;
+}
+
+}  // namespace
+
 void Runtime::begin_work_slice(detail::WorkerState& st) {
   st.work_start_ns = ThreadCpuTimer::now_ns();
 }
 
-void Runtime::record_step(detail::WorkerState& st) {
-  WorkerStepRecord r;
-  r.work_us =
-      static_cast<double>(ThreadCpuTimer::now_ns() - st.work_start_ns) * 1e-3;
-  r.recv_packets = st.pending_recv_packets;
-  st.pending_recv_packets = 0;
-  r.recv_messages = st.pending_recv_messages;
-  st.pending_recv_messages = 0;
-  // Wire bytes accrue during the exchange that opened this superstep, so
-  // they are charged — like recv_packets — to the superstep being recorded.
-  r.wire_bytes = st.wire_bytes;
-  st.wire_bytes = 0;
-  r.wire_syscalls = st.wire_syscalls;
-  st.wire_syscalls = 0;
-  r.wire_zc_bytes = st.wire_zc_bytes;
-  st.wire_zc_bytes = 0;
-  r.sent_packets = st.sent_packets;
-  r.sent_bytes = st.sent_bytes;
-  r.sent_messages = st.sent_messages;
+void Runtime::close_step(detail::WorkerState& st) {
+  st.trace.push_back(std::move(st.step));
+  st.step = WorkerStepRecord{};
   if (cfg_.collect_comm_matrix) {
-    r.sent_to_packets = st.sent_to;
-    std::fill(st.sent_to.begin(), st.sent_to.end(), 0);
+    st.step.sent_to_packets.assign(static_cast<std::size_t>(cfg_.nprocs), 0);
   }
-  // Fault/recovery accounting: faults injected during the exchange that
-  // opened this superstep, plus the cost of the checkpoint taken at its top
-  // (or of the restore that recreated it).
-  r.injected_faults = st.injected_faults;
-  st.injected_faults = 0;
-  r.checkpoint_bytes = st.checkpoint_bytes;
-  st.checkpoint_bytes = 0;
-  r.checkpoint_us = st.checkpoint_us;
-  st.checkpoint_us = 0.0;
-  r.restore_us = st.restore_us;
-  st.restore_us = 0.0;
-  // Split-phase window that opened this superstep (set by the previous
-  // do_sync_end): charged like the wire traffic it overlapped.
-  r.overlap_us = st.overlap_us;
-  st.overlap_us = 0.0;
-  r.overlap_wire_bytes = st.overlap_wire_bytes;
-  st.overlap_wire_bytes = 0;
-  st.trace.push_back(std::move(r));
-  st.sent_packets = 0;
-  st.sent_bytes = 0;
-  st.sent_messages = 0;
+}
+
+void Runtime::record_step(detail::WorkerState& st) {
+  st.step.work_us = work_slice_us(st);
+  close_step(st);
 }
 
 void Runtime::do_sync(detail::WorkerState& st) {
@@ -184,17 +154,21 @@ void Runtime::do_sync(detail::WorkerState& st) {
   if (abort_.load(std::memory_order_acquire)) throw BspAborted{};
   record_step(st);
   transport_->flush(st);
+  cross_boundary(st);
+}
+
+void Runtime::cross_boundary(detail::WorkerState& st) {
   if (cfg_.scheduling == Scheduling::Serialized) {
     scheduler_->yield_at_sync(st.pid);  // transport exchange ran inside
-  } else if (transport_->needs_boundary_barriers()) {
-    // One barrier per boundary: once every worker has sealed its sends,
-    // each delivers to itself from the ended superstep's parity while
-    // faster peers may already be sending into the other one.
-    barrier_->arrive_and_wait(st.pid);
-    transport_->deliver_to(st);
   } else {
-    // Self-synchronising transport: deliver_to blocks until every peer's
+    // Barrier transports: one barrier per boundary — once every worker has
+    // sealed its sends, each delivers to itself from the ended superstep's
+    // parity while faster peers may already be sending into the other one.
+    // Self-synchronising transports: deliver_to blocks until every peer's
     // data for this boundary has arrived — the exchange is the barrier.
+    if (transport_->needs_boundary_barriers()) {
+      barrier_->arrive_and_wait(st.pid);
+    }
     transport_->deliver_to(st);
   }
   st.superstep += 1;
@@ -202,23 +176,14 @@ void Runtime::do_sync(detail::WorkerState& st) {
   // The boundary just crossed is a consistent cut: every message sent before
   // it has been delivered, none sent after it exists yet. Snapshot here —
   // at the top of the new superstep — so a restore replays from exactly
-  // this point.
+  // this point. A fault inside a split-phase window unwound before reaching
+  // here, so a checkpoint is only ever taken on a fully reconciled boundary.
   if (cfg_.checkpoint_every != 0 &&
       st.superstep % cfg_.checkpoint_every == 0) {
     recovery_.checkpoint(st);
   }
   begin_work_slice(st);
 }
-
-namespace {
-
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 void Runtime::do_sync_begin(detail::WorkerState& st) {
   if (st.overlap_active) {
@@ -227,17 +192,15 @@ void Runtime::do_sync_begin(detail::WorkerState& st) {
         " called sync_begin() twice without an intervening sync_end()");
   }
   if (abort_.load(std::memory_order_acquire)) throw BspAborted{};
-  // Snapshot the wire counters before the transport moves anything, so
-  // sync_end can re-charge the window's traffic to the superstep the
-  // boundary opens (the rigid path's charging rule).
-  st.overlap_wire_base = st.wire_bytes;
-  st.overlap_syscall_base = st.wire_syscalls;
-  if (cfg_.scheduling == Scheduling::Serialized) {
-    // One thread at a time: the exchange runs inside the scheduler at
-    // sync_end, exactly like a rigid boundary. The window still measures the
-    // caller's overlappable compute, so Serialized traces stay comparable.
-    transport_->flush(st);
-  } else {
+  // Close the ending superstep's record now, so the window's traffic and
+  // faults land in the record of the superstep the boundary opens; its
+  // work_us is stamped at sync_end, keeping the window's compute in it.
+  close_step(st);
+  transport_->flush(st);
+  // Under Serialized scheduling the exchange runs inside the scheduler at
+  // sync_end, exactly like a rigid boundary. The window still measures the
+  // caller's overlappable compute, so Serialized traces stay comparable.
+  if (cfg_.scheduling != Scheduling::Serialized) {
     transport_->begin_exchange(st);
   }
   st.overlap_active = true;
@@ -258,44 +221,14 @@ void Runtime::do_sync_end(detail::WorkerState& st) {
                            "sync_begin()");
   }
   if (abort_.load(std::memory_order_acquire)) throw BspAborted{};
-  const double window_us =
+  st.trace.back().work_us = work_slice_us(st);
+  st.step.overlap_us =
       static_cast<double>(steady_now_ns() - st.overlap_start_ns) * 1e-3;
-  // Wire traffic that moved during the window belongs — like every exchange
-  // counter — to the superstep this boundary opens. Park it below the
-  // sync_begin snapshot while record_step closes the *ending* superstep,
-  // then restore it for the next record.
-  const std::uint64_t window_wire = st.wire_bytes - st.overlap_wire_base;
-  const std::uint64_t window_calls =
-      st.wire_syscalls - st.overlap_syscall_base;
-  st.wire_bytes = st.overlap_wire_base;
-  st.wire_syscalls = st.overlap_syscall_base;
-  record_step(st);  // includes the window's compute in this step's work_us
-  st.wire_bytes = window_wire;
-  st.wire_syscalls = window_calls;
-  st.overlap_us = window_us;
-  st.overlap_wire_bytes = window_wire;
+  // The open record started at sync_begin: every wire byte in it so far
+  // moved inside the window.
+  st.step.overlap_wire_bytes = st.step.wire_bytes;
   st.overlap_active = false;
-  if (cfg_.scheduling == Scheduling::Serialized) {
-    scheduler_->yield_at_sync(st.pid);  // transport exchange ran inside
-  } else if (transport_->needs_boundary_barriers()) {
-    // Same placement as a rigid boundary: every worker sealed its sends at
-    // its own sync_begin, so once all arrive here the ended superstep's
-    // traffic is complete.
-    barrier_->arrive_and_wait(st.pid);
-    transport_->finish_exchange(st);
-  } else {
-    transport_->finish_exchange(st);
-  }
-  st.superstep += 1;
-  progress_.fetch_add(1, std::memory_order_relaxed);
-  // Same consistent cut as the rigid boundary (see do_sync): a fault inside
-  // the window unwound before reaching here, so a checkpoint is only ever
-  // taken on a fully reconciled boundary.
-  if (cfg_.checkpoint_every != 0 &&
-      st.superstep % cfg_.checkpoint_every == 0) {
-    recovery_.checkpoint(st);
-  }
-  begin_work_slice(st);
+  cross_boundary(st);
 }
 
 void Runtime::finalize_worker(detail::WorkerState& st) {
@@ -305,7 +238,7 @@ void Runtime::finalize_worker(detail::WorkerState& st) {
         " returned from the SPMD function inside a split-phase window "
         "(missing sync_end())");
   }
-  if (st.sent_messages != 0 || transport_->has_unflushed(st)) {
+  if (st.step.sent_messages != 0 || transport_->has_unflushed(st)) {
     throw std::logic_error(
         "gbsp: worker " + std::to_string(st.pid) +
         " sent messages after its final sync(); they can never be delivered");
@@ -420,7 +353,7 @@ bool Runtime::run_attempt(const std::function<void(Worker&)>& fn) {
     st->pid = process_mode() ? process_rank() : i;
     st->seq_to.assign(static_cast<std::size_t>(p), 0);
     if (cfg_.collect_comm_matrix) {
-      st->sent_to.assign(static_cast<std::size_t>(p), 0);
+      st->step.sent_to_packets.assign(static_cast<std::size_t>(p), 0);
     }
     // On a resume, rebuild the state to the checkpointed cut — superstep
     // counter, sequence numbers, trace, and inbox views — before the

@@ -265,6 +265,14 @@ class Runtime {
   void do_sync_begin(detail::WorkerState& st);
   bool do_sync_progress(detail::WorkerState& st);
   void do_sync_end(detail::WorkerState& st);
+  /// The boundary after the sends are sealed, shared by sync() and
+  /// sync_end(): delivery (the Serialized yield, or the barrier when the
+  /// transport needs one, then deliver_to), the superstep bump, the
+  /// checkpoint, and the new work slice.
+  void cross_boundary(detail::WorkerState& st);
+  /// Moves the open superstep's record into the trace and opens a fresh one.
+  void close_step(detail::WorkerState& st);
+  /// Stamps the open record's work_us, then close_step().
   void record_step(detail::WorkerState& st);
   void begin_work_slice(detail::WorkerState& st);
   void finalize_worker(detail::WorkerState& st);

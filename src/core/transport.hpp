@@ -73,8 +73,9 @@ struct BspTransportError : std::runtime_error {
 /// its whole lifetime; per-run state is rebuilt by reset_run().
 ///
 /// Concurrency contract (the seam's locking rules):
-///  * stage_send() and flush() are called by the owning worker's thread only,
-///    with `st` being that worker's own state.
+///  * stage_reserve(), flush(), begin_exchange() and progress() are called
+///    by the owning worker's thread only, with `st` being that worker's own
+///    state.
 ///  * deliver_to() in Parallel mode is called concurrently, one call per
 ///    worker. For barrier transports (needs_boundary_barriers() == true) each
 ///    call runs after the one boundary barrier, when every worker has sealed
@@ -92,9 +93,14 @@ struct BspTransportError : std::runtime_error {
 ///  * exchange() replaces deliver_to() in Serialized mode. It is invoked by
 ///    the SerialScheduler from whichever worker thread completes the round,
 ///    with the scheduler lock held — effectively single-threaded, never
-///    concurrent with stage_send()/flush()/deliver_to(). (This documents the
-///    contract that Runtime::exchange_all() used to claim imprecisely as
-///    "runs single-threaded".)
+///    concurrent with stage_reserve()/flush()/deliver_to().
+///
+/// A boundary is flush() (seal the sends) then deliver_to() (complete the
+/// exchange and publish the inbox). A split-phase boundary
+/// (Worker::sync_begin()/sync_end()) puts begin_exchange() after flush() to
+/// open the exchange early, progress() calls inside the window, and the same
+/// deliver_to() at sync_end, which completes the window begin_exchange()
+/// opened. All counters go into the open superstep's record, st.step.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -121,61 +127,43 @@ class Transport {
   virtual void reset_run(
       const std::vector<std::unique_ptr<detail::WorkerState>>& states) = 0;
 
-  /// Stages `n` bytes from `st` (the sending worker) to `dest`: appends a
-  /// frame to the transport's staging arena and copies the payload once.
-  /// Bumps st.seq_to[dest]. Delivered after the receiver's next sync().
-  virtual void stage_send(detail::WorkerState& st, int dest, const void* data,
-                          std::size_t n) = 0;
-
-  /// Like stage_send(), but returns the writable payload slot instead of
-  /// copying from a caller buffer: the caller builds the message in place.
-  /// This is what lets the collectives layer combine many logical payloads
-  /// into one framed message without a staging copy — `MessageArena::append`
-  /// slots are pointer-stable (slabs never move), so the returned pointer
-  /// stays valid until the message is delivered. The slot is part of the
-  /// current superstep's traffic whether or not the caller writes all of it;
-  /// same concurrency contract as stage_send().
+  /// Stages an `n`-byte message from `st` (the sending worker) to `dest`
+  /// and returns its writable payload slot: the caller builds the message
+  /// in place. Bumps st.seq_to[dest]; delivered after the receiver's next
+  /// sync(). Slots are pointer-stable (`MessageArena::append` slabs never
+  /// move), so the pointer stays valid until the message is delivered —
+  /// what lets the collectives layer combine many logical payloads into one
+  /// framed message without a staging copy. The slot is part of the current
+  /// superstep's traffic whether or not the caller writes all of it.
   virtual std::byte* stage_reserve(detail::WorkerState& st, int dest,
                                    std::size_t n) = 0;
 
-  /// Sender-side boundary hook, called at the top of sync() before delivery
-  /// (and before the barrier, for barrier transports).
+  /// Seals `st`'s sending side: the top of every boundary, before the
+  /// barrier for barrier transports.
   virtual void flush(detail::WorkerState& st) = 0;
 
-  /// Delivers everything sent to `dst` during the ended superstep: rebuilds
-  /// dst.inbox with views, valid until dst's next sync(), and charges
-  /// dst.pending_recv_* (Config::collect_stats). See the class comment for
-  /// the concurrency contract.
-  virtual void deliver_to(detail::WorkerState& dst) = 0;
-
-  // --- Split-phase boundary (Worker::sync_begin()/sync_end()). The default
-  // implementations map the split pair onto today's flush()+deliver_to(), so
-  // transports without incremental progress stay behavior-identical to a
-  // rigid sync(): all message movement happens at finish_exchange(), under
-  // the same barrier placement. Transports with real overlap (socket)
-  // override all three. Each call runs on the owning worker's thread with
-  // `st` being that worker's own state, and may touch only what deliver_to()
-  // may touch for a self-synchronising transport — the caller computes on
-  // local data concurrently with peers' exchanges either way.
-
-  /// Seals `st`'s sending side and starts its boundary exchange. After this
-  /// call the worker must not send until the matching finish_exchange()
-  /// (enforced by the runtime); its previous inbox views are invalidated.
-  virtual void begin_exchange(detail::WorkerState& st) { flush(st); }
+  /// Opens `st`'s exchange at sync_begin(), after flush(), so bytes can move
+  /// while the caller computes on local data; its previous inbox views are
+  /// invalidated. The default does nothing: all movement then waits for
+  /// deliver_to(), under the same barrier placement as a rigid sync().
+  /// Same thread and state rules as a self-synchronising deliver_to().
+  virtual void begin_exchange(detail::WorkerState& st) { (void)st; }
 
   /// Opportunistic progress inside the overlap window: moves whatever bytes
   /// are ready without blocking. Returns true when the incoming exchange for
-  /// `st` is fully drained (finish_exchange() will not block). The default
+  /// `st` is fully drained (deliver_to() will not block). The default
   /// (no incremental progress) returns false.
   virtual bool progress(detail::WorkerState& st) {
     (void)st;
     return false;
   }
 
-  /// Completes `st`'s boundary exchange and publishes the new inbox views —
-  /// the delivery half of the split pair. For barrier transports the runtime
-  /// calls it after the same one barrier as a rigid sync().
-  virtual void finish_exchange(detail::WorkerState& st) { deliver_to(st); }
+  /// Delivers everything sent to `dst` during the ended superstep —
+  /// completing the exchange begin_exchange() opened, or running the whole
+  /// exchange — and rebuilds dst.inbox with views, valid until dst's next
+  /// sync(). Charges dst.step.recv_* (Config::collect_stats). See the class
+  /// comment for the concurrency contract.
+  virtual void deliver_to(detail::WorkerState& dst) = 0;
 
   /// Serialized-mode global exchange: delivers for every worker in one call
   /// (single-threaded; see the class comment). Finished workers still

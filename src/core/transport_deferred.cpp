@@ -1,7 +1,5 @@
 #include "core/transport_deferred.hpp"
 
-#include <cstring>
-
 namespace gbsp {
 
 void DeferredTransport::reset_run(
@@ -20,12 +18,6 @@ void DeferredTransport::reset_run(
     pw.inbox_from.reserve(p);
     for (std::size_t d = 0; d < p; ++d) pw.inbox_from.emplace_back(pool_);
   }
-}
-
-void DeferredTransport::stage_send(detail::WorkerState& st, int dest,
-                                   const void* data, std::size_t n) {
-  std::byte* slot = stage_reserve(st, dest, n);
-  if (n != 0) std::memcpy(slot, data, n);
 }
 
 std::byte* DeferredTransport::stage_reserve(detail::WorkerState& st, int dest,

@@ -33,8 +33,6 @@ class DeferredTransport final : public detail::TransportBase {
 
   void reset_run(const std::vector<std::unique_ptr<detail::WorkerState>>&
                      states) override;
-  void stage_send(detail::WorkerState& st, int dest, const void* data,
-                  std::size_t n) override;
   std::byte* stage_reserve(detail::WorkerState& st, int dest,
                            std::size_t n) override;
   void flush(detail::WorkerState& st) override;

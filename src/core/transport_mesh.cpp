@@ -1,7 +1,6 @@
 #include "core/transport_mesh.hpp"
 
 #include <cerrno>
-#include <cstring>
 
 namespace gbsp {
 
@@ -42,12 +41,6 @@ void MeshTransport::reset_run(
   }
 }
 
-void MeshTransport::stage_send(detail::WorkerState& st, int dest,
-                               const void* data, std::size_t n) {
-  std::byte* slot = stage_reserve(st, dest, n);
-  if (n != 0) std::memcpy(slot, data, n);
-}
-
 std::byte* MeshTransport::stage_reserve(detail::WorkerState& st, int dest,
                                         std::size_t n) {
   return engine_of(st.pid).reserve(st, dest, n);
@@ -66,34 +59,30 @@ void MeshTransport::publish(detail::WorkerState& dst) {
   finish_delivery(dst, recv_packets, cfg_.deterministic_delivery);
 }
 
-void MeshTransport::deliver_to(detail::WorkerState& dst) {
-  detail::ExchangeEngine& e = engine_of(dst.pid);
+void MeshTransport::begin_exchange(detail::WorkerState& st) {
   try {
-    inject_boundary_fault(FaultSite::Deliver, dst);
-    e.begin_window(dst);
-    e.finish_window(dst);
+    inject_boundary_fault(FaultSite::Deliver, st);
+    engine_of(st.pid).begin_window(st);
   } catch (...) {
     // Unwinding mid-stage strands half-written stage bytes in kernel
     // buffers or rings; the mesh must be rebuilt before the next run.
     mesh_->mark_dirty();
     throw;
   }
-  publish(dst);
 }
 
-void MeshTransport::begin_exchange(detail::WorkerState& st) {
-  detail::ExchangeEngine& e = engine_of(st.pid);
+void MeshTransport::deliver_to(detail::WorkerState& dst) {
+  detail::ExchangeEngine& e = engine_of(dst.pid);
+  // A rigid boundary opens its window here; a split one opened it at
+  // sync_begin.
+  if (!e.window_active()) begin_exchange(dst);
   try {
-    // Same fault-hook sequence as the rigid path: the sender-side Flush hook
-    // (this transport's flush() is hook-only), then the Deliver hook at the
-    // top of boundary delivery.
-    inject_boundary_fault(FaultSite::Flush, st);
-    inject_boundary_fault(FaultSite::Deliver, st);
-    e.begin_window(st);
+    e.finish_window(dst);
   } catch (...) {
     mesh_->mark_dirty();
     throw;
   }
+  publish(dst);
 }
 
 bool MeshTransport::progress(detail::WorkerState& st) {
@@ -109,23 +98,6 @@ bool MeshTransport::progress(detail::WorkerState& st) {
   }
 }
 
-void MeshTransport::finish_exchange(detail::WorkerState& st) {
-  detail::ExchangeEngine& e = engine_of(st.pid);
-  if (!e.window_active()) {
-    // No window in flight (a rigid boundary routed through the default
-    // contract): behave exactly like deliver_to.
-    deliver_to(st);
-    return;
-  }
-  try {
-    e.finish_window(st);
-  } catch (...) {
-    mesh_->mark_dirty();
-    throw;
-  }
-  publish(st);
-}
-
 void MeshTransport::exchange(
     const std::vector<std::unique_ptr<detail::WorkerState>>& states) {
   const int p = static_cast<int>(states.size());
@@ -139,9 +111,7 @@ void MeshTransport::exchange(
   // expect a (possibly empty) stage from them on the shared stream.
   try {
     for (int i = 0; i < p; ++i) {
-      detail::WorkerState& st = *states[static_cast<std::size_t>(i)];
-      inject_boundary_fault(FaultSite::Deliver, st);
-      engine_of(i).begin_window(st);
+      begin_exchange(*states[static_cast<std::size_t>(i)]);
     }
     wait_.progressed();
     for (;;) {

@@ -17,7 +17,7 @@
 //     the schedule, one send path and one receive path over the channels,
 //     the idle wait, split-phase windows, and the fault-injection sites.
 //
-// This class is the Transport seam glue: it routes stage_send/sync through
+// This class is the Transport seam glue: it routes stage_reserve/sync through
 // the right worker's engine, publishes inbox views after each boundary
 // (re-pointing zero-copy shm frames at the shared mapping), marks the mesh
 // dirty when a worker unwinds mid-stage, and drives the Serialized-mode
@@ -69,8 +69,6 @@ class MeshTransport final : public detail::TransportBase {
 
   void reset_run(const std::vector<std::unique_ptr<detail::WorkerState>>&
                      states) override;
-  void stage_send(detail::WorkerState& st, int dest, const void* data,
-                  std::size_t n) override;
   std::byte* stage_reserve(detail::WorkerState& st, int dest,
                            std::size_t n) override;
   void flush(detail::WorkerState& st) override {
@@ -78,17 +76,17 @@ class MeshTransport final : public detail::TransportBase {
     // harness hooks the boundary here.
     inject_boundary_fault(FaultSite::Flush, st);
   }
-  void deliver_to(detail::WorkerState& dst) override;
-  // Split-phase overlap: begin_exchange opens the boundary and puts every
-  // peer's stage on the wire out of the staging arenas; progress() runs one
-  // non-blocking round of every pending send and receive; finish_exchange
-  // resumes them all with the blocking spin-then-nap driver and publishes
-  // the inbox views. The window's wall-clock counts against
-  // Config::socket_stage_timeout_ms exactly like slow peer compute in a
-  // rigid boundary — the timeout must exceed the longest overlap window.
+  // begin_exchange opens the boundary (the Deliver fault hook, then every
+  // peer's stage on the wire out of the staging arenas); progress() runs one
+  // non-blocking round of every pending send and receive; deliver_to opens
+  // the window unless sync_begin already did, resumes it with the blocking
+  // spin-then-nap driver, and publishes the inbox views. A split window's
+  // wall-clock counts against Config::socket_stage_timeout_ms exactly like
+  // slow peer compute in a rigid boundary — the timeout must exceed the
+  // longest overlap window.
   void begin_exchange(detail::WorkerState& st) override;
   bool progress(detail::WorkerState& st) override;
-  void finish_exchange(detail::WorkerState& st) override;
+  void deliver_to(detail::WorkerState& dst) override;
   void exchange(const std::vector<std::unique_ptr<detail::WorkerState>>&
                     states) override;
   [[nodiscard]] bool has_unflushed(

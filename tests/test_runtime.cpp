@@ -7,10 +7,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/collectives.hpp"
@@ -499,6 +501,74 @@ TEST_P(RuntimeSemantics, DeterministicOrderSurvivesChunkedEagerFlushes) {
     }
     EXPECT_EQ(expect_src, p);
   });
+}
+
+TEST_P(RuntimeSemantics, FilledSendReserveMatchesSendByteForByte) {
+  // send() is send_reserve() plus one copy: filling a reservation by hand
+  // must deliver the same inboxes and charge the same per-superstep send
+  // counters, comm matrix included. Sizes straddle the 16-byte packet unit
+  // and include empty messages.
+  Config cfg = make_config(/*deterministic=*/true);
+  cfg.collect_comm_matrix = true;
+  const int p = cfg.nprocs;
+  constexpr int kSteps = 3;
+  struct Outcome {
+    // inbox[pid]: (source, payload) of every message pid read, in order.
+    std::vector<std::vector<std::pair<std::uint32_t, std::vector<std::byte>>>>
+        inbox;
+    RunStats stats;
+  };
+  const auto run = [&](bool reserve) {
+    Outcome out;
+    out.inbox.resize(static_cast<std::size_t>(p));
+    Runtime rt(cfg);
+    out.stats = rt.run([&](Worker& w) {
+      auto& mine = out.inbox[static_cast<std::size_t>(w.pid())];
+      for (int step = 0; step < kSteps; ++step) {
+        for (int d = 0; d < p; ++d) {
+          const std::size_t n =
+              static_cast<std::size_t>(w.pid() * 7 + d * 3 + step * 5) % 41;
+          std::vector<std::byte> payload(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            payload[i] = static_cast<std::byte>(w.pid() * 31 + d * 17 +
+                                                step * 13 +
+                                                static_cast<int>(i));
+          }
+          if (reserve) {
+            std::byte* slot = w.send_reserve(d, n);
+            if (n != 0) std::memcpy(slot, payload.data(), n);
+          } else {
+            w.send_bytes(d, payload.data(), n);
+          }
+        }
+        w.sync();
+        for (const Message& m : w.inbox()) {
+          mine.emplace_back(m.source, std::vector<std::byte>(
+                                          m.payload.begin(), m.payload.end()));
+        }
+      }
+    });
+    return out;
+  };
+  const Outcome sent = run(/*reserve=*/false);
+  const Outcome reserved = run(/*reserve=*/true);
+  EXPECT_EQ(reserved.inbox, sent.inbox);
+  for (std::size_t pid = 0; pid < static_cast<std::size_t>(p); ++pid) {
+    EXPECT_EQ(sent.inbox[pid].size(),
+              static_cast<std::size_t>(p) * kSteps);
+    const auto& a = sent.stats.traces[pid];
+    const auto& b = reserved.stats.traces[pid];
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(b[i].sent_packets, a[i].sent_packets) << pid << "/" << i;
+      EXPECT_EQ(b[i].sent_bytes, a[i].sent_bytes) << pid << "/" << i;
+      EXPECT_EQ(b[i].sent_messages, a[i].sent_messages) << pid << "/" << i;
+      EXPECT_EQ(b[i].sent_to_packets, a[i].sent_to_packets)
+          << pid << "/" << i;
+    }
+    EXPECT_EQ(a[0].sent_messages, static_cast<std::uint64_t>(p));
+    EXPECT_EQ(a[0].sent_to_packets.size(), static_cast<std::size_t>(p));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, RuntimeSemantics,

@@ -264,6 +264,30 @@ TEST_P(SplitPhaseMatrix, ProgressOutsideWindowIsANoOp) {
   });
 }
 
+TEST_P(SplitPhaseMatrix, WindowFaultsChargeTheSuperstepTheBoundaryOpens) {
+  // A Flush-hook delay on rank 0 in superstep 2 fires at the boundary that
+  // ends superstep 2. A rigid sync() charges it to superstep 3, the one that
+  // boundary opens; a split boundary fires it at sync_begin and must charge
+  // it to the same superstep.
+  const FaultPlan plan =
+      parse_fault_plan("site=flush,kind=delay,rank=0,step=2,arg=1");
+  const auto faults_per_step = [&](Boundary boundary) {
+    Runtime rt(base_config(GetParam()));
+    rt.set_fault_plan(plan);
+    RunStats stats;
+    run_ring(rt, boundary, &stats);
+    std::vector<std::uint64_t> out;
+    for (const SuperstepStats& s : stats.supersteps) {
+      out.push_back(s.total_injected_faults);
+    }
+    return out;
+  };
+  const std::vector<std::uint64_t> rigid = faults_per_step(Boundary::Rigid);
+  ASSERT_GT(rigid.size(), 3u);
+  EXPECT_EQ(rigid[3], 1u);
+  EXPECT_EQ(faults_per_step(Boundary::SplitEmpty), rigid);
+}
+
 std::string transport_name(
     const ::testing::TestParamInfo<DeliveryStrategy>& info) {
   return info.param == DeliveryStrategy::Deferred ? "Deferred"
