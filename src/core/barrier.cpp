@@ -33,12 +33,18 @@ inline void cpu_relax() {
 
 }  // namespace
 
+bool oversubscribed(int threads, unsigned hardware_threads) {
+  return static_cast<unsigned>(threads) > std::max(1u, hardware_threads);
+}
+
+bool host_oversubscribed(int threads) {
+  return oversubscribed(threads, std::thread::hardware_concurrency());
+}
+
 // ---------------------------------------------------------------- CentralSpin
 
 CentralSpinBarrier::CentralSpinBarrier(int nprocs)
-    : nprocs_(nprocs),
-      oversubscribed_(static_cast<unsigned>(nprocs) >
-                      std::max(1u, std::thread::hardware_concurrency())) {}
+    : nprocs_(nprocs), oversubscribed_(host_oversubscribed(nprocs)) {}
 
 void CentralSpinBarrier::arrive_and_wait(int /*pid*/) {
   const std::uint32_t seen = word_.load(std::memory_order_acquire);

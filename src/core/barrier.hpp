@@ -25,6 +25,15 @@ struct BspAborted : std::runtime_error {
   BspAborted() : std::runtime_error("BSP computation aborted by a peer") {}
 };
 
+/// True when `threads` workers outnumber `hardware_threads` (0, "unknown",
+/// counts as 1). The one oversubscription test: with it the spin barrier
+/// yields instead of pausing, and the runtime times work slices with the
+/// thread-CPU clock instead of the wall clock.
+[[nodiscard]] bool oversubscribed(int threads, unsigned hardware_threads);
+
+/// oversubscribed(threads, std::thread::hardware_concurrency()).
+[[nodiscard]] bool host_oversubscribed(int threads);
+
 /// Abstract superstep barrier for a fixed set of participants.
 class Barrier {
  public:

@@ -18,6 +18,8 @@ void RecoveryManager::reset(int nprocs) {
     for (Slot& s : per_rank) s.inbox.bind(pool_);
   }
   next_.assign(static_cast<std::size_t>(nprocs), 0);
+  committed_.clear();
+  committed_.resize(static_cast<std::size_t>(nprocs));
 }
 
 void RecoveryManager::checkpoint(detail::WorkerState& st) {
@@ -28,8 +30,12 @@ void RecoveryManager::checkpoint(detail::WorkerState& st) {
 
   slot.superstep = st.superstep;
   slot.seq_to = st.seq_to;
-  slot.step = st.step;
-  slot.trace = st.trace;
+  std::vector<WorkerStepRecord>& committed = committed_[pid];
+  committed.insert(committed.end(),
+                   st.trace.begin() +
+                       static_cast<std::ptrdiff_t>(committed.size()),
+                   st.trace.end());
+  slot.trace_len = committed.size();
   slot.inbox_cursor = st.inbox_cursor;
 
   // Copy the delivered inbox out of the transport's arenas: the transport
@@ -57,9 +63,12 @@ void RecoveryManager::checkpoint(detail::WorkerState& st) {
     bytes += r.bytes;
   }
 
-  slot.valid = true;
   st.step.checkpoint_bytes += bytes;
   st.step.checkpoint_us += timer.elapsed_s() * 1e6;
+  // Copied last, so a superstep resumed from this cut is charged the
+  // checkpoint that opened it, as in a run that never failed.
+  slot.step = st.step;
+  slot.valid = true;
 }
 
 std::int64_t RecoveryManager::latest_complete() const {
@@ -98,16 +107,24 @@ const RecoveryManager::Slot* RecoveryManager::find(int pid,
 
 void RecoveryManager::restore(detail::WorkerState& st, std::uint64_t step) {
   WallTimer timer;
+  const std::size_t pid = static_cast<std::size_t>(st.pid);
   const Slot* slot = find(st.pid, step);
-  if (slot == nullptr) {
+  std::vector<WorkerStepRecord>& committed = committed_[pid];
+  if (slot == nullptr || slot->trace_len > committed.size()) {
     throw std::logic_error("gbsp recovery: rank " + std::to_string(st.pid) +
                            " has no checkpoint at superstep " +
                            std::to_string(step));
   }
+  std::vector<Slot>& per_rank = slots_[pid];
+  for (Slot& s : per_rank) {
+    if (s.valid && s.superstep > step) s.valid = false;
+  }
+  next_[pid] = slot == &per_rank[0] ? 1 : 0;
   st.superstep = slot->superstep;
   st.seq_to = slot->seq_to;
   st.step = slot->step;
-  st.trace = slot->trace;
+  committed.resize(slot->trace_len);
+  st.trace.assign(committed.begin(), committed.end());
 
   st.inbox.clear();
   st.inbox.reserve(slot->inbox.message_count());

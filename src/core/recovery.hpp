@@ -15,6 +15,10 @@
 // superstep schedule on every rank, so when a failure interrupts a
 // checkpoint wave, ranks differ by at most one completed checkpoint — the
 // latest superstep present on *all* ranks is always in one of the two slots.
+// The trace is not copied into slots: each rank keeps one append-only
+// committed trace, every checkpoint appends the records closed since the
+// previous one, and a slot stores only the committed length at its cut, so
+// a checkpoint costs the same at superstep 10 as at superstep 10^5.
 // Inbox snapshots are copied into a MessageArena fed by the runtime's
 // SlabPool, so steady-state checkpointing recycles the same slabs instead of
 // touching the allocator (the zero-alloc discipline of the message path,
@@ -40,16 +44,19 @@ class RecoveryManager {
  public:
   explicit RecoveryManager(SlabPool* pool) : pool_(pool) {}
 
-  /// Starts a new independent run: forgets every checkpoint and sizes the
-  /// per-rank slots. Retry attempts within one run() must NOT call this —
-  /// the surviving checkpoints are precisely what recovery restores.
+  /// Forgets every checkpoint and sizes the per-rank slots: at the start of
+  /// an independent run, and before a retry that replays from superstep 0
+  /// (latest_complete() < 0). A retry that resumes must NOT call this — the
+  /// surviving checkpoints are precisely what recovery restores.
   void reset(int nprocs);
 
   /// Snapshots `st` at the current superstep cut: registered regions, the
   /// save callback's bytes, the delivered inbox, sequence counters, the open
-  /// superstep's record, and the trace so far. Accrues
-  /// st.step.checkpoint_bytes / checkpoint_us (charged to the superstep
-  /// being opened). Called by st's own worker thread.
+  /// superstep's record, and the trace so far (by appending the records
+  /// closed since the rank's previous checkpoint to its committed trace,
+  /// which must be a prefix of st.trace — true after reset() or restore()).
+  /// Accrues st.step.checkpoint_bytes / checkpoint_us (charged to the
+  /// superstep being opened). Called by st's own worker thread.
   void checkpoint(detail::WorkerState& st);
 
   /// Highest superstep for which every rank holds a checkpoint, or -1 when
@@ -57,11 +64,15 @@ class RecoveryManager {
   [[nodiscard]] std::int64_t latest_complete() const;
 
   /// Restores the counters, records, and inbox of `st` from rank st.pid's
-  /// checkpoint at `step` (which must exist — see latest_complete()). Inbox
-  /// views point into the checkpoint's own arena; they remain valid until
-  /// two further checkpoints rotate the slot away, long after the first
-  /// post-resume boundary replaces them with transport-owned views. Accrues
-  /// st.step.restore_us.
+  /// checkpoint at `step` (which must exist — see latest_complete()). The
+  /// rank's committed trace is cut back to that checkpoint and any newer
+  /// slot of the rank is invalidated: it describes a future the resumed
+  /// attempt will re-run, and its trace records are gone. The next
+  /// checkpoint overwrites the other slot, so the restored one survives it.
+  /// Inbox views point into the checkpoint's own arena; they remain valid
+  /// until two further checkpoints rotate the slot away, long after the
+  /// first post-resume boundary replaces them with transport-owned views.
+  /// Accrues st.step.restore_us.
   void restore(detail::WorkerState& st, std::uint64_t step);
 
   /// Copies the `index`-th registered region snapshot of rank `pid` at
@@ -84,7 +95,7 @@ class RecoveryManager {
     std::uint64_t superstep = 0;
     std::vector<std::uint32_t> seq_to;
     WorkerStepRecord step;  // the open superstep's record at the cut
-    std::vector<WorkerStepRecord> trace;
+    std::size_t trace_len = 0;  // committed_ records closed before the cut
     MessageArena inbox;
     std::size_t inbox_cursor = 0;
     std::vector<std::byte> user_state;
@@ -98,6 +109,9 @@ class RecoveryManager {
   /// one the next checkpoint() overwrites.
   std::vector<std::vector<Slot>> slots_;
   std::vector<std::uint8_t> next_;
+  /// committed_[pid] = the rank's trace up to its newest checkpoint; each
+  /// valid slot's trace is its first trace_len records.
+  std::vector<std::vector<WorkerStepRecord>> committed_;
 };
 
 }  // namespace gbsp

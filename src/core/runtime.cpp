@@ -106,30 +106,24 @@ void Worker::set_checkpoint_state(
 
 // ------------------------------------------------------------------- Runtime
 
-Runtime::Runtime(Config cfg) : cfg_(cfg) {
+Runtime::Runtime(Config cfg)
+    : cfg_(cfg),
+      work_clock_ns_(cfg.scheduling == Scheduling::Serialized ||
+                             host_oversubscribed(cfg.nprocs)
+                         ? &ThreadCpuTimer::now_ns
+                         : &WallTimer::now_ns) {
   validate_config(cfg_);
   transport_ = make_transport(cfg_, pool_, &abort_);
 }
 
 Runtime::~Runtime() = default;
 
-namespace {
-
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-double work_slice_us(const detail::WorkerState& st) {
-  return static_cast<double>(ThreadCpuTimer::now_ns() - st.work_start_ns) *
-         1e-3;
-}
-
-}  // namespace
-
 void Runtime::begin_work_slice(detail::WorkerState& st) {
-  st.work_start_ns = ThreadCpuTimer::now_ns();
+  st.work_start_ns = work_clock_ns_();
+}
+
+double Runtime::work_slice_us(const detail::WorkerState& st) const {
+  return static_cast<double>(work_clock_ns_() - st.work_start_ns) * 1e-3;
 }
 
 void Runtime::close_step(detail::WorkerState& st) {
@@ -172,7 +166,9 @@ void Runtime::cross_boundary(detail::WorkerState& st) {
     transport_->deliver_to(st);
   }
   st.superstep += 1;
-  progress_.fetch_add(1, std::memory_order_relaxed);
+  if (cfg_.superstep_deadline_ms != 0) {
+    progress_.fetch_add(1, std::memory_order_relaxed);
+  }
   // The boundary just crossed is a consistent cut: every message sent before
   // it has been delivered, none sent after it exists yet. Snapshot here —
   // at the top of the new superstep — so a restore replays from exactly
@@ -204,7 +200,7 @@ void Runtime::do_sync_begin(detail::WorkerState& st) {
     transport_->begin_exchange(st);
   }
   st.overlap_active = true;
-  st.overlap_start_ns = steady_now_ns();
+  st.overlap_start_ns = WallTimer::now_ns();
 }
 
 bool Runtime::do_sync_progress(detail::WorkerState& st) {
@@ -223,7 +219,7 @@ void Runtime::do_sync_end(detail::WorkerState& st) {
   if (abort_.load(std::memory_order_acquire)) throw BspAborted{};
   st.trace.back().work_us = work_slice_us(st);
   st.step.overlap_us =
-      static_cast<double>(steady_now_ns() - st.overlap_start_ns) * 1e-3;
+      static_cast<double>(WallTimer::now_ns() - st.overlap_start_ns) * 1e-3;
   // The open record started at sync_begin: every wire byte in it so far
   // moved inside the window.
   st.step.overlap_wire_bytes = st.step.wire_bytes;
@@ -352,6 +348,7 @@ bool Runtime::run_attempt(const std::function<void(Worker&)>& fn) {
     auto st = std::make_unique<detail::WorkerState>();
     st->pid = process_mode() ? process_rank() : i;
     st->seq_to.assign(static_cast<std::size_t>(p), 0);
+    st->trace.reserve(trace_reserve_);
     if (cfg_.collect_comm_matrix) {
       st->step.sent_to_packets.assign(static_cast<std::size_t>(p), 0);
     }
@@ -376,7 +373,6 @@ bool Runtime::run_attempt(const std::function<void(Worker&)>& fn) {
         p, [this] { transport_->exchange(states_); });
   }
 
-  progress_.fetch_add(1, std::memory_order_relaxed);  // attempt start
   watchdog_stop_.store(false, std::memory_order_release);
   std::thread watchdog;
   if (cfg_.superstep_deadline_ms != 0) {
@@ -424,6 +420,9 @@ RunStats Runtime::run(const std::function<void(Worker&)>& fn) {
     // run — exact for deterministic programs.
     resume_step_ = cfg_.checkpoint_every != 0 ? recovery_.latest_complete()
                                               : -1;
+    // A replay from superstep 0 checkpoints afresh; what survives of the
+    // failed attempt's checkpoints would not match its trace.
+    if (resume_step_ < 0) recovery_.reset(p);
   }
 
   RunStats stats;
@@ -431,7 +430,11 @@ RunStats Runtime::run(const std::function<void(Worker&)>& fn) {
   stats.wall_s = wall.elapsed_s();
   stats.recoveries = recoveries_;
   stats.traces.reserve(states_.size());
-  for (auto& st : states_) stats.traces.push_back(std::move(st->trace));
+  trace_reserve_ = 0;
+  for (auto& st : states_) {
+    trace_reserve_ = std::max(trace_reserve_, st->trace.size());
+    stats.traces.push_back(std::move(st->trace));
+  }
   stats.aggregate_from_traces();
   return stats;
 }

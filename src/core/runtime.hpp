@@ -275,6 +275,8 @@ class Runtime {
   /// Stamps the open record's work_us, then close_step().
   void record_step(detail::WorkerState& st);
   void begin_work_slice(detail::WorkerState& st);
+  /// Time since begin_work_slice() on the work-slice clock.
+  [[nodiscard]] double work_slice_us(const detail::WorkerState& st) const;
   void finalize_worker(detail::WorkerState& st);
   void report_error(std::exception_ptr e, int pid);
   /// One execution of `fn` on all workers (one retry attempt). Returns true
@@ -286,6 +288,12 @@ class Runtime {
   void watchdog_main();
 
   Config cfg_;
+  // The work-slice clock, picked once from the host: the thread-CPU clock
+  // when workers share cores (Serialized scheduling, or more workers than
+  // hardware threads), else the vDSO wall clock — with a hardware thread
+  // each, a worker's wall time between boundaries is its computation, and
+  // the boundary then makes no clock syscall.
+  std::int64_t (*const work_clock_ns_)();
   // Declared before transport_, recovery_ and states_ so arenas (which
   // release their slabs into the pool on destruction) die first. The pool
   // persists across run() calls: that is what recycles buffers from one BSP
@@ -310,8 +318,14 @@ class Runtime {
   // from superstep 0 on retry without checkpoints).
   std::int64_t resume_step_ = -1;
   std::uint64_t recoveries_ = 0;
-  // Bumped by every worker at every completed superstep boundary (and once
-  // at attempt start); the watchdog declares a wedge when it stops moving.
+  // Superstep count of the previous run's longest trace: run_attempt
+  // reserves each worker's trace to it, so a repeated run never regrows a
+  // trace inside a boundary.
+  std::size_t trace_reserve_ = 0;
+  // Bumped by every worker at every completed superstep boundary while the
+  // watchdog is armed; the watchdog samples it when it starts and declares
+  // a wedge when it stops moving. Unarmed runs never touch it, so a
+  // boundary writes no shared line but the barrier's.
   std::atomic<std::uint64_t> progress_{0};
   std::atomic<bool> watchdog_stop_{false};
 };

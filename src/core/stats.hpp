@@ -14,7 +14,11 @@ namespace gbsp {
 /// What one processor did during one superstep (recorded lock-free by each
 /// worker into its own trace, merged after the run).
 struct WorkerStepRecord {
-  double work_us = 0.0;             ///< local computation time
+  /// Local computation time: wall time between boundaries when every worker
+  /// has its own hardware thread and scheduling is Parallel; this thread's
+  /// CPU time under Serialized scheduling or when workers outnumber the
+  /// host's hardware threads (see ThreadCpuTimer, util/timer.hpp).
+  double work_us = 0.0;
   std::uint64_t sent_packets = 0;   ///< outgoing, in packet units
   /// Incoming packets, in packet units, charged to the superstep that READS
   /// them (they were delivered at its opening boundary) — the paper's

@@ -23,6 +23,14 @@ class WallTimer {
   }
   [[nodiscard]] double elapsed_us() const { return elapsed_s() * 1e6; }
 
+  /// Raw monotonic wall time in nanoseconds since an unspecified epoch.
+  /// steady_clock reads through the vDSO: no syscall.
+  static std::int64_t now_ns() {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               Clock::now().time_since_epoch())
+        .count();
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
@@ -31,8 +39,12 @@ class WallTimer {
 /// Per-thread CPU-time stopwatch (CLOCK_THREAD_CPUTIME_ID).
 ///
 /// Measures time this thread actually spent executing, excluding time it was
-/// descheduled — the right clock for measuring BSP "work" on an oversubscribed
-/// host where worker threads share cores.
+/// descheduled — the right clock for measuring BSP "work" when worker threads
+/// share cores: under Serialized scheduling (the emulator) and when a run has
+/// more workers than the host has hardware threads. The runtime uses it for
+/// work slices in exactly those cases and WallTimer::now_ns() otherwise:
+/// CLOCK_THREAD_CPUTIME_ID has no vDSO path, so every read is a syscall
+/// (~0.4 us on a 4-vCPU x86-64 VM, against ~40 ns for steady_clock).
 class ThreadCpuTimer {
  public:
   ThreadCpuTimer() : start_(now_ns()) {}

@@ -49,6 +49,25 @@ const BarrierKind kKinds[] = {BarrierKind::CentralSpin,
 // test names do not depend on the host.
 int resolve_procs(int p) { return p == 0 ? 2 * hw_threads() : p; }
 
+// The one oversubscription test, shared by CentralSpinBarrier (yield
+// instead of pause) and the runtime (thread-CPU instead of wall-clock work
+// slices), as a pure function: no test starts more threads than the host
+// has to reach the oversubscribed branch.
+TEST(Oversubscription, IsDecidedFromThreadsAndHardwareThreads) {
+  EXPECT_FALSE(oversubscribed(1, 4));
+  EXPECT_FALSE(oversubscribed(4, 4));
+  EXPECT_TRUE(oversubscribed(5, 4));
+  EXPECT_TRUE(oversubscribed(64, 4));
+  // hardware_concurrency() reports 0 when it cannot tell: one thread.
+  EXPECT_FALSE(oversubscribed(1, 0));
+  EXPECT_TRUE(oversubscribed(2, 0));
+  for (int p : {1, 2, hw_threads(), hw_threads() + 1}) {
+    EXPECT_EQ(host_oversubscribed(p),
+              oversubscribed(p, std::thread::hardware_concurrency()))
+        << p;
+  }
+}
+
 class BarrierMatrix
     : public testing::TestWithParam<std::tuple<BarrierKind, int>> {};
 

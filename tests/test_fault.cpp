@@ -255,6 +255,103 @@ INSTANTIATE_TEST_SUITE_P(
     matrix_name);
 
 // ---------------------------------------------------------------------------
+// Resuming from a rank's older checkpoint slot. Rank 1 dies delivering the
+// boundary 3 -> 4 after its peers passed the barrier, so ranks 0, 2 and 3
+// checkpoint superstep 4 while rank 1 holds 3: recovery resumes everyone
+// from 3, the three from their older slot. In that attempt rank 0 dies at
+// the same boundary while ranks 1..3 re-checkpoint 4 — rank 0's slot from
+// the first attempt at 4 must no longer count, or recovery would resume it
+// from a superstep whose trace the restore at 3 already cut away. The run
+// that finally completes must match a fault-free one in every per-superstep
+// count, per-destination packet and result bit. The blocking barrier makes
+// the schedule deterministic: a waiter it has released returns even when
+// the dying rank aborts the barrier a moment later, so the three survivors
+// always deliver and checkpoint 4 (a spinning waiter that sees the abort
+// bit together with the new generation throws instead).
+
+void expect_same_counts(const WorkerStepRecord& a, const WorkerStepRecord& b,
+                        const std::string& where) {
+  EXPECT_EQ(a.sent_packets, b.sent_packets) << where;
+  EXPECT_EQ(a.recv_packets, b.recv_packets) << where;
+  EXPECT_EQ(a.sent_bytes, b.sent_bytes) << where;
+  EXPECT_EQ(a.sent_messages, b.sent_messages) << where;
+  EXPECT_EQ(a.recv_messages, b.recv_messages) << where;
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes) << where;
+  EXPECT_EQ(a.wire_syscalls, b.wire_syscalls) << where;
+  EXPECT_EQ(a.injected_faults, b.injected_faults) << where;
+  EXPECT_EQ(a.checkpoint_bytes, b.checkpoint_bytes) << where;
+  EXPECT_EQ(a.sent_to_packets, b.sent_to_packets) << where;
+}
+
+class OlderSlotResume : public ::testing::TestWithParam<DeliveryStrategy> {};
+
+TEST_P(OlderSlotResume, MatchesAFaultFreeRun) {
+  Config cfg = base_config(GetParam());
+  cfg.barrier = BarrierKind::CentralBlocking;
+  cfg.checkpoint_every = 1;
+  cfg.collect_comm_matrix = true;
+  cfg.max_run_retries = 3;
+  cfg.retry_backoff_us = 100;
+
+  RunStats clean;
+  Runtime clean_rt(cfg);
+  const std::vector<std::uint64_t> expected = run_ring(clean_rt, &clean);
+
+  Runtime rt(cfg);
+  FaultPlan plan;
+  FaultRule first;
+  first.site = FaultSite::Deliver;
+  first.kind = FaultKind::Abort;
+  first.rank = 1;
+  first.superstep = 3;
+  plan.rules.push_back(first);
+  FaultRule second = first;
+  second.rank = 0;
+  second.nth = 1;  // rank 0's boundary 3 -> 4 in the resumed attempt
+  plan.rules.push_back(second);
+  rt.set_fault_plan(plan);
+
+  RunStats stats;
+  EXPECT_EQ(run_ring(rt, &stats), expected);
+  EXPECT_EQ(stats.recoveries, 2u);
+  EXPECT_EQ(rt.fault_injector()->fired(), 2u);
+
+  ASSERT_EQ(stats.S(), clean.S());
+  for (std::size_t i = 0; i < clean.S(); ++i) {
+    const SuperstepStats& a = stats.supersteps[i];
+    const SuperstepStats& b = clean.supersteps[i];
+    const std::string where = "superstep " + std::to_string(i);
+    EXPECT_EQ(a.h_packets, b.h_packets) << where;
+    EXPECT_EQ(a.total_packets, b.total_packets) << where;
+    EXPECT_EQ(a.total_bytes, b.total_bytes) << where;
+    EXPECT_EQ(a.total_messages, b.total_messages) << where;
+    EXPECT_EQ(a.h_messages, b.h_messages) << where;
+    EXPECT_EQ(a.endpoint_messages, b.endpoint_messages) << where;
+    EXPECT_EQ(a.total_injected_faults, b.total_injected_faults) << where;
+    EXPECT_EQ(a.total_checkpoint_bytes, b.total_checkpoint_bytes) << where;
+  }
+  ASSERT_EQ(stats.traces.size(), clean.traces.size());
+  for (std::size_t r = 0; r < clean.traces.size(); ++r) {
+    ASSERT_EQ(stats.traces[r].size(), clean.traces[r].size()) << "rank " << r;
+    for (std::size_t i = 0; i < clean.traces[r].size(); ++i) {
+      expect_same_counts(stats.traces[r][i], clean.traces[r][i],
+                         "rank " + std::to_string(r) + " superstep " +
+                             std::to_string(i));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(InMemory, OlderSlotResume,
+                         ::testing::Values(DeliveryStrategy::Deferred,
+                                           DeliveryStrategy::Eager),
+                         [](const auto& info) {
+                           return std::string(
+                               info.param == DeliveryStrategy::Deferred
+                                   ? "Deferred"
+                                   : "Eager");
+                         });
+
+// ---------------------------------------------------------------------------
 // Exception safety: a user functor throw must propagate as the program
 // error (never masked by the secondary transport errors it causes in
 // peers), must not leak staged arenas, and must leave the Runtime reusable.

@@ -6,12 +6,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -596,6 +598,37 @@ TEST(Runtime, RunBspConvenienceWrapper) {
   });
   EXPECT_EQ(stats.nprocs, 3);
   EXPECT_EQ(stats.S(), 2u);
+}
+
+// The work-slice clock: wall time when every worker has its own hardware
+// thread (Parallel scheduling), this thread's CPU time under Serialized
+// scheduling. A worker that sleeps 20 ms in superstep 0 is charged that
+// sleep as work only on the wall clock.
+RunStats run_with_sleeping_worker(Scheduling scheduling) {
+  Config cfg;
+  cfg.nprocs = 2;
+  cfg.scheduling = scheduling;
+  return Runtime(cfg).run([](Worker& w) {
+    if (w.pid() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    w.sync();
+  });
+}
+
+TEST(Runtime, ParallelWorkSlicesUseTheWallClock) {
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "2 workers need 2 hardware threads for the wall clock";
+  }
+  const RunStats stats = run_with_sleeping_worker(Scheduling::Parallel);
+  ASSERT_EQ(stats.S(), 2u);
+  EXPECT_GE(stats.supersteps[0].w_max_us, 15000.0);
+}
+
+TEST(Runtime, SerializedWorkSlicesUseTheThreadCpuClock) {
+  const RunStats stats = run_with_sleeping_worker(Scheduling::Serialized);
+  ASSERT_EQ(stats.S(), 2u);
+  EXPECT_LT(stats.supersteps[0].w_max_us, 5000.0);
 }
 
 TEST(Runtime, SerializedAndParallelProduceIdenticalMessageFlow) {
