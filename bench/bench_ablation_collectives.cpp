@@ -11,10 +11,10 @@
 // traffic at a fixed p, direct vs two-phase (Valiant-style) routing. For
 // each point: messages actually sent (the combining column: v2 packs each
 // destination's blocks into one message, so msgs << blocks), real host
-// wall-clock on the requested transport, the emulated PC-LAN staged price
-// of the same trace (the regime the two-phase route targets: a skewed
+// wall-clock on the requested transport, and the emulated PC-LAN staged
+// price of the same trace (the regime the two-phase route targets: a skewed
 // relation serializes the staged exchange, spreading it over intermediates
-// parallelizes it), and the selector's own cost estimates.
+// parallelizes it). Two-phase is forced here; Auto runs direct.
 //
 // Usage: bench_ablation_collectives [--procs N] [--elems N] [--reps N]
 //          [--transport deferred|eager|socket] [--json PATH] [--quiet]
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/collectives.hpp"
-#include "core/transport.hpp"
 #include "emul/emulator.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -109,7 +108,6 @@ struct SweepRow {
   std::uint64_t msgs = 0;      // combined messages actually sent
   double wall_ms = 0.0;        // real host wall-clock, median of reps
   double pc_emul_ms = 0.0;     // emulated PC-LAN staged price of the trace
-  double selector_us = 0.0;    // the selector's own estimate for this route
 };
 
 double median(std::vector<double> v) {
@@ -169,27 +167,14 @@ int main(int argc, char** argv) {
 
   // ---- part 2: alltoallv skew sweep, direct vs two-phase -----------------
   const EmulatedMachine pc = emulated_pc();
-  const double sel_g = default_collective_g_us(delivery, np);
-  const double sel_l = default_collective_l_us(delivery, np);
   std::vector<SweepRow> rows;
   for (const SkewPattern& pat : kPatterns) {
-    // The byte matrix (same on every rank by construction) prices the
-    // selector's two estimates once per pattern.
-    const std::size_t sp = static_cast<std::size_t>(np);
-    std::vector<std::vector<std::uint64_t>> bytes(
-        sp, std::vector<std::uint64_t>(sp, 0));
     std::uint64_t blocks = 0;
     for (int i = 0; i < np; ++i) {
       for (int d = 0; d < np; ++d) {
-        if (i == d) continue;
-        const std::uint64_t b = 8 * static_cast<std::uint64_t>(
-                                        pat.block(i, d, np, elems));
-        bytes[static_cast<std::size_t>(i)][static_cast<std::size_t>(d)] = b;
-        if (b != 0) ++blocks;
+        if (i != d && pat.block(i, d, np, elems) != 0) ++blocks;
       }
     }
-    const ScheduleChoice choice = evaluate_alltoallv_schedule(
-        bytes, is_mesh_delivery(delivery), sel_g, sel_l, 16);
 
     for (const auto schedule :
          {CollectiveSchedule::Direct, CollectiveSchedule::TwoPhase}) {
@@ -197,9 +182,6 @@ int main(int argc, char** argv) {
       row.pattern = pat.name;
       row.schedule =
           schedule == CollectiveSchedule::Direct ? "direct" : "two-phase";
-      row.selector_us = schedule == CollectiveSchedule::Direct
-                            ? choice.direct_us
-                            : choice.two_phase_us;
 
       Config cfg;
       cfg.nprocs = np;
@@ -231,7 +213,7 @@ int main(int argc, char** argv) {
     std::cout << "== alltoallv skew sweep: p=" << np << " elems=" << elems
               << " transport=" << transport << " ==\n";
     TextTable t({"pattern", "schedule", "blocks", "msgs", "wall ms",
-                 "PC-LAN ms", "selector us"});
+                 "PC-LAN ms"});
     for (const SweepRow& r : rows) {
       t.row()
           .add(r.pattern)
@@ -239,8 +221,7 @@ int main(int argc, char** argv) {
           .add(static_cast<std::int64_t>(r.blocks))
           .add(static_cast<std::int64_t>(r.msgs))
           .add(r.wall_ms, 3)
-          .add(r.pc_emul_ms, 3)
-          .add(r.selector_us, 1);
+          .add(r.pc_emul_ms, 3);
     }
     t.render(std::cout);
     std::cout << "\n(blocks = nonempty src->dest legs; msgs = combined "
@@ -249,9 +230,13 @@ int main(int argc, char** argv) {
                  "staged PC-LAN price collapses under two-phase routing: "
                  "the direct schedule pushes the whole block through one "
                  "shift round while the intermediates spread it across all "
-                 "p-1. On this host's single-core transports the direct "
-                 "route stays ahead on wall-clock — which is exactly what "
-                 "the selector's measured-g/L estimates conclude.)\n";
+                 "p-1. This runtime's exchanges are not staged: there the "
+                 "two phases' h-relations sum to at least direct's, so "
+                 "two-phase pays a second boundary and a repacking copy for "
+                 "nothing under Eq. 1, and Auto runs direct. Wall-clock "
+                 "rows also carry costs Eq. 1 leaves out, such as page "
+                 "faults on large freshly allocated buffers, so a uniform "
+                 "row can still favour two-phase (EXPERIMENTS.md).)\n";
   }
 
   if (!json_path.empty()) {
@@ -260,15 +245,13 @@ int main(int argc, char** argv) {
     os << "{\n  \"bench\": \"collectives\",\n"
        << "  \"config\": {\"procs\": " << np << ", \"elems\": " << elems
        << ", \"reps\": " << reps << ", \"transport\": \"" << transport
-       << "\", \"selector_g_us\": " << sel_g << ", \"selector_l_us\": "
-       << sel_l << "},\n  \"skew_sweep\": [\n";
+       << "\"},\n  \"skew_sweep\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const SweepRow& r = rows[i];
       os << "    {\"pattern\": \"" << r.pattern << "\", \"schedule\": \""
          << r.schedule << "\", \"blocks\": " << r.blocks
          << ", \"msgs_combined\": " << r.msgs << ", \"wall_ms\": "
-         << r.wall_ms << ", \"pc_lan_staged_ms\": " << r.pc_emul_ms
-         << ", \"selector_us\": " << r.selector_us << "}"
+         << r.wall_ms << ", \"pc_lan_staged_ms\": " << r.pc_emul_ms << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";

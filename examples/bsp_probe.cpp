@@ -26,11 +26,14 @@
 // bound the recovery budget, and the probe reports injected-fault and
 // recovery counts next to the fit — measuring g and L *under fire*.
 //
-// --collectives feeds each fitted (g, L) into the collectives-layer
+// --collectives feeds each fitted (g, L) into the rooted-collective
 // schedule selector (core/collectives.hpp) and prints what it would pick on
-// THIS machine for representative requests — small/large broadcast
-// (direct vs tree) and uniform/one-hot alltoallv (direct vs two-phase) —
-// next to the selector's baked-in per-transport defaults.
+// THIS machine for a small and a large broadcast (direct vs tree), next to
+// the selector's baked-in per-transport defaults.
+//
+// The fit clamps a negative slope or intercept to 0 (cost/fit.hpp); such a
+// g or L is no measurement, so its cell prints "n/a" and --collectives
+// skips that row.
 #include <cstdio>
 #include <iostream>
 #include <thread>
@@ -47,13 +50,16 @@
 namespace {
 
 const char* schedule_name(gbsp::CollectiveSchedule s) {
-  switch (s) {
-    case gbsp::CollectiveSchedule::Direct: return "direct";
-    case gbsp::CollectiveSchedule::Tree: return "tree";
-    case gbsp::CollectiveSchedule::TwoPhase: return "two-phase";
-    case gbsp::CollectiveSchedule::Auto: break;
+  return s == gbsp::CollectiveSchedule::Tree ? "tree" : "direct";
+}
+
+/// A fitted g or L cell: "n/a" where fit_g_L clamped the value to 0.
+void add_fitted(gbsp::TextTable& t, double value, int decimals) {
+  if (value <= 0.0) {
+    t.add("n/a");
+  } else {
+    t.add(value, decimals);
   }
-  return "auto";
 }
 
 }  // namespace
@@ -168,7 +174,9 @@ int main(int argc, char** argv) {
       }
     }
     const MachineParams mp = fit_g_L(samples);
-    t.row().add(std::int64_t{np}).add(mp.g_us, 3).add(mp.L_us, 1);
+    t.row().add(std::int64_t{np});
+    add_fitted(t, mp.g_us, 3);
+    add_fitted(t, mp.L_us, 1);
     fitted.push_back({np, mp});
   }
   if (chatty) t.render(std::cout);
@@ -179,37 +187,16 @@ int main(int argc, char** argv) {
         "is the baked-in per-transport fit the selector uses when no probe "
         "has run:\n");
     TextTable ct({"nprocs", "g/L used (us)", "g/L default (us)",
-                  "bcast 16B", "bcast 1MiB", "a2a uniform", "a2a one-hot"});
+                  "bcast 16B", "bcast 1MiB"});
     for (const auto& [np, mp] : fitted) {
-      if (np < 2) continue;  // every schedule degenerates at p = 1
-      const std::size_t sp = static_cast<std::size_t>(np);
-      const bool staged = is_mesh_delivery(delivery);
-      const double g = mp.g_us > 0.0 ? mp.g_us : 0.001;
-      const double l = mp.L_us > 0.0 ? mp.L_us : 0.001;
-      // Representative h-relations: 512 KiB per rank, spread vs focused.
-      std::vector<std::vector<std::uint64_t>> uniform(
-          sp, std::vector<std::uint64_t>(sp, 0));
-      auto one_hot = uniform;
-      constexpr std::uint64_t kVolume = 512 * 1024;
-      for (int i = 0; i < np; ++i) {
-        for (int d = 0; d < np; ++d) {
-          if (i == d) continue;
-          uniform[static_cast<std::size_t>(i)][static_cast<std::size_t>(d)] =
-              kVolume / static_cast<std::uint64_t>(np - 1);
-        }
-        one_hot[static_cast<std::size_t>(i)]
-               [static_cast<std::size_t>((i * 3 + 1) % np)] = kVolume;
-      }
+      // Every schedule degenerates at p = 1; a clamped fit prices nothing.
+      if (np < 2 || mp.g_us <= 0.0 || mp.L_us <= 0.0) continue;
       const ScheduleChoice small_bcast =
-          evaluate_rooted_schedule(np, 16, g, l, 16);
+          evaluate_rooted_schedule(np, 16, mp.g_us, mp.L_us, 16);
       const ScheduleChoice big_bcast =
-          evaluate_rooted_schedule(np, 1 << 20, g, l, 16);
-      const ScheduleChoice flat =
-          evaluate_alltoallv_schedule(uniform, staged, g, l, 16);
-      const ScheduleChoice skew =
-          evaluate_alltoallv_schedule(one_hot, staged, g, l, 16);
+          evaluate_rooted_schedule(np, 1 << 20, mp.g_us, mp.L_us, 16);
       char used[64], dflt[64];
-      std::snprintf(used, sizeof(used), "%.3f / %.1f", g, l);
+      std::snprintf(used, sizeof(used), "%.3f / %.1f", mp.g_us, mp.L_us);
       std::snprintf(dflt, sizeof(dflt), "%.3f / %.1f",
                     default_collective_g_us(delivery, np),
                     default_collective_l_us(delivery, np));
@@ -218,9 +205,7 @@ int main(int argc, char** argv) {
           .add(used)
           .add(dflt)
           .add(schedule_name(small_bcast.schedule))
-          .add(schedule_name(big_bcast.schedule))
-          .add(schedule_name(flat.schedule))
-          .add(schedule_name(skew.schedule));
+          .add(schedule_name(big_bcast.schedule));
     }
     ct.render(std::cout);
   }

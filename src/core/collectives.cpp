@@ -1,12 +1,8 @@
 // Non-template half of the collectives layer: the shared inbox-contract
-// diagnostic and the schedule selector (cost models + measured per-transport
-// g/L defaults). See collectives.hpp and DESIGN.md section 13.
+// diagnostic and the rooted-collective schedule selector (cost model +
+// measured per-transport g/L defaults). See collectives.hpp and DESIGN.md
+// section 13.
 #include "core/collectives.hpp"
-
-#include <cmath>
-#include <limits>
-
-#include "core/transport.hpp"  // is_mesh_delivery
 
 namespace gbsp {
 
@@ -21,16 +17,11 @@ void require_clean_inbox(Worker& w, const char* what) {
   }
 }
 
-double resolve_collective_g_us(const Config& cfg) {
-  return cfg.collective_g_us > 0.0
-             ? cfg.collective_g_us
-             : default_collective_g_us(cfg.delivery, cfg.nprocs);
-}
-
-double resolve_collective_l_us(const Config& cfg) {
-  return cfg.collective_l_us > 0.0
-             ? cfg.collective_l_us
-             : default_collective_l_us(cfg.delivery, cfg.nprocs);
+void require_sliceable(std::size_t elems, int p) {
+  if (elems / static_cast<std::size_t>(p) + 1 > std::size_t{0xffffffff}) {
+    throw std::invalid_argument(
+        "alltoallv: block slice exceeds 32-bit segment framing");
+  }
 }
 
 CollectiveAlgorithm choose_rooted_algorithm(const Config& cfg, int p,
@@ -44,30 +35,29 @@ CollectiveAlgorithm choose_rooted_algorithm(const Config& cfg, int p,
     case CollectiveSchedule::TwoPhase:  // not a rooted schedule: defer to cost
       break;
   }
-  const ScheduleChoice c = evaluate_rooted_schedule(
-      p, bytes, resolve_collective_g_us(cfg), resolve_collective_l_us(cfg),
-      cfg.packet_unit_bytes);
+  const double g_us = cfg.collective_g_us > 0.0
+                          ? cfg.collective_g_us
+                          : default_collective_g_us(cfg.delivery, cfg.nprocs);
+  const double l_us = cfg.collective_l_us > 0.0
+                          ? cfg.collective_l_us
+                          : default_collective_l_us(cfg.delivery, cfg.nprocs);
+  const ScheduleChoice c =
+      evaluate_rooted_schedule(p, bytes, g_us, l_us, cfg.packet_unit_bytes);
   return c.schedule == CollectiveSchedule::Tree ? CollectiveAlgorithm::Tree
                                                 : CollectiveAlgorithm::Direct;
 }
 
-ScheduleChoice choose_alltoallv_schedule(
-    const Config& cfg, const std::vector<std::vector<std::uint64_t>>& bytes) {
-  return evaluate_alltoallv_schedule(
-      bytes, is_mesh_delivery(cfg.delivery), resolve_collective_g_us(cfg),
-      resolve_collective_l_us(cfg), cfg.packet_unit_bytes);
-}
-
 }  // namespace detail
 
-// Linear fits of the bsp_probe measurements in BENCH_transport.json (this
-// host, AF_UNIX socketpairs / in-memory arenas), taken when the mesh
-// transports still ran the exchange one stage at a time; they now post
-// every stage at once (core/exchange_engine.hpp), which lowered socket L
-// (EXPERIMENTS.md), and the fits are kept until the selector is re-priced.
-// Socket g and L both grow with p — more peers contend for the same cores
-// — so the defaults scale with nprocs; the in-memory transports are flat
-// within the measured band.
+// Linear fits of the bsp_probe measurements in BENCH_transport.json, taken
+// on a host with one hardware thread when the mesh transports still ran
+// the exchange one stage at a time; they now post every stage at once
+// (core/exchange_engine.hpp), which lowered socket L (EXPERIMENTS.md).
+// These tables now price only the rooted collectives (Direct vs Tree);
+// refitting them waits on a g/L probe that can resolve a 20% change
+// (ROADMAP). Socket g and L both grow with p — more peers contend for the
+// same cores — so the defaults scale with nprocs; the in-memory transports
+// are flat within the measured band.
 double default_collective_g_us(DeliveryStrategy d, int nprocs) {
   const double p = nprocs < 1 ? 1.0 : static_cast<double>(nprocs);
   switch (d) {
@@ -116,59 +106,16 @@ double default_collective_l_us(DeliveryStrategy d, int nprocs) {
   return 20.0;
 }
 
-namespace {
-
-std::uint64_t pkts(std::uint64_t bytes, std::size_t unit) {
-  return packets_for_bytes(bytes, unit);
-}
-
-/// Staged-exchange cost of a packet matrix, in packet-times: the socket
-/// boundary runs p-1 simultaneous shift rounds, and round k lasts as long as
-/// its largest pairwise transfer max_i M[i][(i+k) mod p] — the same law the
-/// emulator's TcpStaged pricing uses (src/emul/emulator.cpp).
-double staged_cost(const std::vector<std::vector<std::uint64_t>>& m) {
-  const int p = static_cast<int>(m.size());
-  double total = 0.0;
-  for (int k = 1; k < p; ++k) {
-    std::uint64_t worst = 0;
-    for (int i = 0; i < p; ++i) {
-      worst = std::max(worst, m[static_cast<std::size_t>(i)]
-                                  [static_cast<std::size_t>((i + k) % p)]);
-    }
-    total += static_cast<double>(worst);
-  }
-  return total;
-}
-
-/// Barrier-transport cost: the classic h-relation — the largest fan-in or
-/// fan-out at any node.
-double h_relation_cost(const std::vector<std::vector<std::uint64_t>>& m) {
-  const int p = static_cast<int>(m.size());
-  std::uint64_t h = 0;
-  for (int i = 0; i < p; ++i) {
-    std::uint64_t out = 0, in = 0;
-    for (int j = 0; j < p; ++j) {
-      out += m[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-      in += m[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];
-    }
-    h = std::max({h, out, in});
-  }
-  return static_cast<double>(h);
-}
-
-}  // namespace
-
 ScheduleChoice evaluate_rooted_schedule(int p, std::size_t bytes, double g_us,
                                         double l_us, std::size_t packet_unit) {
   ScheduleChoice c;
-  c.two_phase_us = std::numeric_limits<double>::infinity();
   if (p <= 1) {
     c.schedule = CollectiveSchedule::Direct;
     c.direct_us = 0.0;
     c.tree_us = 0.0;
     return c;
   }
-  const double m = static_cast<double>(pkts(bytes, packet_unit));
+  const double m = static_cast<double>(packets_for_bytes(bytes, packet_unit));
   int rounds = 0;
   for (int reach = 1; reach < p; reach *= 2) ++rounds;
   c.direct_us = l_us + g_us * m * static_cast<double>(p - 1);
@@ -176,89 +123,6 @@ ScheduleChoice evaluate_rooted_schedule(int p, std::size_t bytes, double g_us,
   // Ties go to Direct: fewer supersteps is the simpler schedule.
   c.schedule = c.tree_us < c.direct_us ? CollectiveSchedule::Tree
                                        : CollectiveSchedule::Direct;
-  return c;
-}
-
-ScheduleChoice evaluate_alltoallv_schedule(
-    const std::vector<std::vector<std::uint64_t>>& bytes, bool staged,
-    double g_us, double l_us, std::size_t packet_unit) {
-  ScheduleChoice c;
-  c.tree_us = std::numeric_limits<double>::infinity();
-  const int p = static_cast<int>(bytes.size());
-  if (p <= 1) {
-    c.schedule = CollectiveSchedule::Direct;
-    c.two_phase_us = std::numeric_limits<double>::infinity();
-    return c;
-  }
-  const std::size_t sp = static_cast<std::size_t>(p);
-  auto zero_matrix = [sp] {
-    return std::vector<std::vector<std::uint64_t>>(
-        sp, std::vector<std::uint64_t>(sp, 0));
-  };
-
-  // Direct: each source->dest block is one combined message.
-  auto direct = zero_matrix();
-  for (std::size_t i = 0; i < sp; ++i) {
-    for (std::size_t j = 0; j < sp; ++j) {
-      if (i != j && bytes[i][j] != 0) {
-        direct[i][j] = pkts(bytes[i][j], packet_unit);
-      }
-    }
-  }
-
-  // Two-phase: replay the schedule's own slicing (collectives.hpp), header
-  // bytes included, to get the exact phase matrices. Phase 1 sends the j-th
-  // byte slice of every i->d block to intermediate j; phase 2 forwards the
-  // regrouped segments to their destinations. The j == i and j == d legs
-  // stay on-rank and cost nothing.
-  auto slice_bytes = [p](std::uint64_t n, int j) {
-    const std::uint64_t lo =
-        n * static_cast<std::uint64_t>(j) / static_cast<std::uint64_t>(p);
-    const std::uint64_t hi =
-        n * (static_cast<std::uint64_t>(j) + 1) / static_cast<std::uint64_t>(p);
-    return hi - lo;
-  };
-  constexpr std::uint64_t kSegHeader = 8;  // sizeof(detail::WireSegment)
-  auto phase1 = zero_matrix();
-  auto phase2 = zero_matrix();
-  for (int i = 0; i < p; ++i) {
-    for (int d = 0; d < p; ++d) {
-      if (i == d) continue;
-      const std::uint64_t b =
-          bytes[static_cast<std::size_t>(i)][static_cast<std::size_t>(d)];
-      if (b == 0) continue;
-      for (int j = 0; j < p; ++j) {
-        const std::uint64_t s = slice_bytes(b, j);
-        if (s == 0) continue;
-        if (j != i) {
-          phase1[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] +=
-              kSegHeader + s;
-        }
-        if (j != d) {
-          phase2[static_cast<std::size_t>(j)][static_cast<std::size_t>(d)] +=
-              kSegHeader + s;
-        }
-      }
-    }
-  }
-  // Combined messages packetize as wholes.
-  for (auto* m : {&phase1, &phase2}) {
-    for (auto& row : *m) {
-      for (auto& cell : row) {
-        if (cell != 0) cell = pkts(cell, packet_unit);
-      }
-    }
-  }
-
-  const double cost_direct = staged ? staged_cost(direct)
-                                    : h_relation_cost(direct);
-  const double cost_p1 = staged ? staged_cost(phase1) : h_relation_cost(phase1);
-  const double cost_p2 = staged ? staged_cost(phase2) : h_relation_cost(phase2);
-  c.direct_us = l_us + g_us * cost_direct;
-  c.two_phase_us = 2.0 * l_us + g_us * (cost_p1 + cost_p2);
-  // Ties go to Direct: one boundary, no repacking work.
-  c.schedule = c.two_phase_us < c.direct_us ? CollectiveSchedule::TwoPhase
-                                            : CollectiveSchedule::Direct;
   return c;
 }
 

@@ -18,11 +18,11 @@
 //    transport's per-destination arena (Worker::send_reserve), so the cost
 //    of a bulk operation is set by the h-relation — per "A Lower Bound
 //    Technique for Communication in BSP" the achievable bound — not by the
-//    message count. For skewed personalized traffic, alltoallv offers a
-//    Valiant-style two-phase gather–scatter schedule that splits a hot-spot
-//    relation into two balanced ~h/p phases, and a selector that picks the
-//    schedule from the request's actual traffic matrix and the transport's
-//    measured g/L (Config::collective_* knobs). See DESIGN.md section 13.
+//    message count. Rooted collectives pick Direct or Tree from the
+//    transport's measured g/L (Config::collective_* knobs); alltoallv runs
+//    Direct unless the caller forces the Valiant-style two-phase
+//    gather–scatter schedule, which pays only on a staged network such as
+//    the paper's PC-LAN. See DESIGN.md section 13.
 //
 // Contract: collectives occupy dedicated supersteps — every processor calls
 // the same collective with compatible arguments, and the caller's inbox must
@@ -74,10 +74,14 @@ struct WireSegment {
 };
 static_assert(sizeof(WireSegment) == 8);
 
+/// Throws std::invalid_argument unless every slice of an `elems`-element
+/// block cut over `p` intermediates fits WireSegment::elems.
+void require_sliceable(std::size_t elems, int p);
+
 }  // namespace detail
 
 // --------------------------------------------------------------------------
-// Schedule selector: Direct / Tree / TwoPhase from g, L, and the h-relation.
+// Rooted schedule selector: Direct / Tree from g, L, and the payload size.
 // --------------------------------------------------------------------------
 
 /// Selector cost constants for a transport on this host when
@@ -91,12 +95,11 @@ static_assert(sizeof(WireSegment) == 8);
 [[nodiscard]] double default_collective_l_us(DeliveryStrategy d, int nprocs);
 
 /// What the selector decided and the modeled cost of each schedule in
-/// microseconds (+infinity for schedules that do not apply to the request).
+/// microseconds.
 struct ScheduleChoice {
   CollectiveSchedule schedule = CollectiveSchedule::Direct;
   double direct_us = 0.0;
   double tree_us = 0.0;
-  double two_phase_us = 0.0;
 };
 
 /// Direct vs Tree for a rooted `bytes`-byte collective (broadcast/reduce):
@@ -105,35 +108,15 @@ struct ScheduleChoice {
                                                       double g_us, double l_us,
                                                       std::size_t packet_unit);
 
-/// Direct vs TwoPhase for a personalized all-to-all given the full byte
-/// matrix `bytes[src][dst]` (self traffic ignored). `staged` selects the
-/// socket staged-exchange cost model — stage k lasts as long as its largest
-/// pairwise transfer, sum over stages — versus the barrier-transport
-/// h-relation model (max over nodes of fan-in/fan-out packets). The
-/// two-phase matrices are derived exactly as the two-phase schedule would
-/// slice this request, including the 8-byte per-segment headers.
-[[nodiscard]] ScheduleChoice evaluate_alltoallv_schedule(
-    const std::vector<std::vector<std::uint64_t>>& bytes, bool staged,
-    double g_us, double l_us, std::size_t packet_unit);
-
 namespace detail {
-
-/// Config override or per-transport default (cfg.collective_g_us == 0).
-[[nodiscard]] double resolve_collective_g_us(const Config& cfg);
-[[nodiscard]] double resolve_collective_l_us(const Config& cfg);
 
 /// The rooted-collective choice for `bytes` payload bytes under `cfg`,
 /// honoring Config::collective_schedule (TwoPhase is meaningless for rooted
-/// collectives and falls back to the selector).
+/// collectives and falls back to the selector), priced with cfg's g/L
+/// overrides or, where they are 0, the per-transport defaults.
 [[nodiscard]] CollectiveAlgorithm choose_rooted_algorithm(const Config& cfg,
                                                           int p,
                                                           std::size_t bytes);
-
-/// The Auto alltoallv choice for the shared byte matrix under `cfg`: staged
-/// pricing exactly for the mesh deliveries (is_mesh_delivery), the
-/// h-relation law for the barrier transports, with cfg's g/L.
-[[nodiscard]] ScheduleChoice choose_alltoallv_schedule(
-    const Config& cfg, const std::vector<std::vector<std::uint64_t>>& bytes);
 
 }  // namespace detail
 
@@ -564,8 +547,8 @@ void allreduce_span(Worker& w, T* data, std::size_t count, Op op,
 }
 
 // --------------------------------------------------------------------------
-// Personalized all-to-all (v2): combined messages, optional two-phase
-// routing for skewed relations, schedule selection from measured g/L.
+// Personalized all-to-all (v2): combined messages, and a forced-only
+// two-phase route for staged networks.
 // --------------------------------------------------------------------------
 
 namespace detail {
@@ -757,20 +740,18 @@ std::vector<std::vector<T>> alltoallv_two_phase(
 /// slot moved from `outgoing[pid]`.
 ///
 /// Schedule:
-///  * Direct (and Tree, which is meaningless here) — one superstep, one
-///    combined message per destination: h is whatever the request's matrix
-///    makes it, up to a hot-spot ~n.
-///  * TwoPhase — two supersteps of balanced ~h/p phases (Valiant routing);
-///    wins on skewed matrices over the staged socket exchange, where a
-///    direct hot-spot serializes whole stages.
-///  * Auto (the default; Config::collective_schedule overrides it for every
-///    call) — one extra superstep allgathers the per-destination byte
-///    counts, then every rank evaluates the identical cost model
-///    (evaluate_alltoallv_schedule) on the identical matrix, so all ranks
-///    deterministically run the same schedule.
-///
-/// Each slice's element count must fit in 32 bits under TwoPhase (segment
-/// framing) — enforced; Auto never picks TwoPhase for such requests.
+///  * Direct (and Auto, and Tree, which is meaningless here) — one
+///    superstep, one combined message per destination: h is whatever the
+///    request's matrix makes it, up to a hot-spot ~n.
+///  * TwoPhase — two supersteps (Valiant routing). Every byte leaves its
+///    source and reaches its destination in one of the two phases, so under
+///    the h-relation law h1 + h2 >= h_direct - (p-1) packets and TwoPhase
+///    wins only if g*(p-1) > L. It pays on a staged network (the paper's
+///    PC-LAN, emul's TcpStaged), where a direct hot-spot serializes whole
+///    rounds; this runtime's exchanges are not staged, so only a caller (or
+///    Config::collective_schedule, which overrides Auto for every call)
+///    can force it. Each slice's element count must fit in 32 bits
+///    (segment framing) — enforced.
 template <typename T>
 std::vector<std::vector<T>> alltoallv(
     Worker& w, std::vector<std::vector<T>> outgoing,
@@ -782,67 +763,17 @@ std::vector<std::vector<T>> alltoallv(
   if (outgoing.size() != static_cast<std::size_t>(p)) {
     throw std::invalid_argument("alltoallv: outgoing must have nprocs slots");
   }
-  const Config& cfg = w.config();
-  if (schedule == CollectiveSchedule::Auto &&
-      cfg.collective_schedule != CollectiveSchedule::Auto) {
-    schedule = cfg.collective_schedule;
+  if (schedule == CollectiveSchedule::Auto) {
+    schedule = w.config().collective_schedule;
   }
   if (p == 1) {
     return outgoing;
   }
-  bool sliceable = true;
-  for (const auto& v : outgoing) {
-    if (v.size() / static_cast<std::size_t>(p) + 1 > std::size_t{0xffffffff}) {
-      sliceable = false;
-    }
+  if (schedule != CollectiveSchedule::TwoPhase) {
+    return detail::alltoallv_direct(w, std::move(outgoing), mode);
   }
-  const bool auto_requested = schedule == CollectiveSchedule::Auto;
-  if (auto_requested) {
-    // Counts superstep: allgather each rank's per-destination byte row, so
-    // every rank sees the same matrix and the same cost-model verdict.
-    std::vector<std::uint64_t> row(static_cast<std::size_t>(p), 0);
-    for (int d = 0; d < p; ++d) {
-      if (d != w.pid()) {
-        row[static_cast<std::size_t>(d)] =
-            outgoing[static_cast<std::size_t>(d)].size() * sizeof(T);
-      }
-    }
-    const auto flat = allgatherv(w, row);
-    std::vector<std::vector<std::uint64_t>> matrix(
-        static_cast<std::size_t>(p));
-    for (int s = 0; s < p; ++s) {
-      matrix[static_cast<std::size_t>(s)].assign(
-          flat.begin() + static_cast<std::ptrdiff_t>(s) * p,
-          flat.begin() + static_cast<std::ptrdiff_t>(s + 1) * p);
-    }
-    schedule = detail::choose_alltoallv_schedule(cfg, matrix).schedule;
-    // Re-derive the framing limit from the shared matrix (not from this
-    // rank's own rows), so the Direct fallback below is the same decision on
-    // every rank.
-    sliceable = true;
-    for (const auto& r : matrix) {
-      for (const std::uint64_t b : r) {
-        if (b / sizeof(T) / static_cast<std::size_t>(p) + 1 >
-            std::size_t{0xffffffff}) {
-          sliceable = false;
-        }
-      }
-    }
-  }
-  if (schedule == CollectiveSchedule::TwoPhase) {
-    if (!sliceable) {
-      if (auto_requested) {
-        schedule = CollectiveSchedule::Direct;  // silently take the safe road
-      } else {
-        throw std::invalid_argument(
-            "alltoallv: block slice exceeds 32-bit segment framing");
-      }
-    }
-  }
-  if (schedule == CollectiveSchedule::TwoPhase) {
-    return detail::alltoallv_two_phase(w, std::move(outgoing), mode);
-  }
-  return detail::alltoallv_direct(w, std::move(outgoing), mode);
+  for (const auto& v : outgoing) detail::require_sliceable(v.size(), p);
+  return detail::alltoallv_two_phase(w, std::move(outgoing), mode);
 }
 
 }  // namespace gbsp

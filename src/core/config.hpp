@@ -56,20 +56,22 @@ enum class DeliveryStrategy {
 };
 
 /// Which schedule the collectives layer (core/collectives.hpp) uses for an
-/// h-relation. Auto lets the selector pick per call from the request's
-/// actual traffic matrix and the transport's measured g/L; the other values
-/// force one schedule everywhere (ablation and tests).
+/// h-relation. Auto lets the selector pick Direct or Tree per rooted call
+/// from the transport's measured g/L, and runs alltoallv Direct; the other
+/// values force one schedule everywhere (ablation and tests).
 enum class CollectiveSchedule {
-  /// Cost-model choice per call (the default).
+  /// Cost-model choice per rooted call, Direct for alltoallv (the default).
   Auto,
   /// One superstep, every source sends straight to its destinations.
   Direct,
   /// Binomial/butterfly trees: ceil(log2 p) supersteps of h = m each
   /// (rooted collectives only; alltoallv treats Tree as Direct).
   Tree,
-  /// Valiant-style two-phase gather–scatter routing for skewed alltoallv:
-  /// slice every source->dest block over p intermediates, regroup, deliver —
-  /// two balanced ~h/p phases instead of one hot-spot phase.
+  /// Valiant-style two-phase gather–scatter routing for alltoallv: slice
+  /// every source->dest block over p intermediates, regroup, deliver. Its
+  /// two h-relations sum to at least Direct's h (up to packet rounding), so
+  /// it pays only on a staged network such as the paper's PC-LAN; forced
+  /// only, never chosen by Auto.
   TwoPhase,
 };
 
@@ -201,11 +203,11 @@ struct Config {
   std::size_t shm_inline_threshold = 4096;
 
   /// Collectives layer (core/collectives.hpp): schedule override. Auto picks
-  /// Direct / Tree / TwoPhase per call from the h-relation and the
-  /// transport's g/L; any other value forces that schedule.
+  /// Direct / Tree per rooted call from the transport's g/L and runs
+  /// alltoallv Direct; any other value forces that schedule.
   CollectiveSchedule collective_schedule = CollectiveSchedule::Auto;
 
-  /// Collectives selector cost constants, in the paper's units: g in
+  /// Rooted-collective selector cost constants, in the paper's units: g in
   /// microseconds per 16-byte packet, L in microseconds per superstep.
   /// 0 (the default) uses per-transport constants measured by bsp_probe on
   /// this host (committed in BENCH_transport.json); nonzero pins the value —

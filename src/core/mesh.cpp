@@ -149,6 +149,19 @@ void SocketpairMesh::do_build(int nprocs) {
   }
 }
 
+bool self_connected(int fd) {
+  sockaddr_storage local{}, peer{};
+  socklen_t local_len = sizeof(local), peer_len = sizeof(peer);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &local_len) != 0 ||
+      ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) != 0) {
+    return false;
+  }
+  // Only the inet families can dial themselves; two unnamed AF_UNIX ends
+  // (a socketpair) compare equal without being one socket.
+  return local.ss_family != AF_UNIX && local_len == peer_len &&
+         std::memcmp(&local, &peer, local_len) == 0;
+}
+
 // ----------------------------------------------------------- RendezvousMesh
 
 namespace {
@@ -306,6 +319,13 @@ int RendezvousMesh::dial(int j, Clock::time_point deadline) {
     const int fd = open_stream(sa.ss_family, me, j);
     set_io_timeout(fd, remaining_ms(deadline));
     if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), salen) == 0) {
+      // Connected to itself, not to rank j: nobody listens there yet, so
+      // retry like a refused connect.
+      if (self_connected(fd)) {
+        ::close(fd);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        continue;
+      }
       // A peer that resets or closes underneath the handshake is treated
       // like a refused connect and retried until the deadline. A malformed
       // or mismatched hello is fatal, and so is a close in on_dialed: that

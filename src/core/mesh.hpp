@@ -51,6 +51,11 @@
 namespace gbsp {
 namespace detail {
 
+/// True when connected stream `fd` is its own peer: a loopback TCP dial
+/// whose ephemeral source port equals the destination port completes by
+/// simultaneous open onto itself when nobody listens there.
+[[nodiscard]] bool self_connected(int fd);
+
 /// Abstract endpoint mesh: endpoint and channel lifecycle for one run
 /// topology. Not thread-safe except where noted (mark_dirty may be called
 /// from concurrently failing workers; everything else is single-threaded

@@ -186,16 +186,6 @@ class Transport {
 /// "socket", "tcp", "shm").
 [[nodiscard]] const char* to_string(DeliveryStrategy d);
 
-/// True exactly for the deliveries MeshTransport serves (Socket, Tcp, Shm).
-/// The alltoallv selector prices their boundary with the staged
-/// (p-1)-round law — round by round, not by the largest fan-in/fan-out —
-/// although the engine now posts every stage at once; re-pricing that law
-/// is an open item.
-[[nodiscard]] constexpr bool is_mesh_delivery(DeliveryStrategy d) {
-  return d == DeliveryStrategy::Socket || d == DeliveryStrategy::Tcp ||
-         d == DeliveryStrategy::Shm;
-}
-
 /// Parses a --transport flag value; throws std::invalid_argument on unknown
 /// names.
 [[nodiscard]] DeliveryStrategy delivery_from_string(const std::string& s);

@@ -387,32 +387,37 @@ class SkewedAlltoallv : public testing::TestWithParam<SkewParam> {};
 
 TEST_P(SkewedAlltoallv, TwoPhaseBitIdenticalToDirect) {
   // Across every transport and sync mode: the two-phase (Valiant-style)
-  // route must deliver exactly what the direct schedule delivers, byte for
-  // byte, for each skew pattern of the sweep.
+  // route and the Auto default must deliver exactly what the direct
+  // schedule delivers, byte for byte, for each skew pattern of the sweep.
   const auto& sp = GetParam();
   const int p = 6;
+  using Delivered = std::vector<std::vector<std::vector<std::uint64_t>>>;
   for (int pattern = 0; pattern < 4; ++pattern) {
-    std::vector<std::vector<std::vector<std::uint64_t>>> direct_in(
-        static_cast<std::size_t>(p)),
-        two_phase_in(static_cast<std::size_t>(p));
-    std::mutex mu;
+    Delivered direct_in;
     for (const auto schedule :
-         {CollectiveSchedule::Direct, CollectiveSchedule::TwoPhase}) {
+         {CollectiveSchedule::Direct, CollectiveSchedule::TwoPhase,
+          CollectiveSchedule::Auto}) {
+      Delivered in_by_rank(static_cast<std::size_t>(p));
+      std::mutex mu;
       Config cfg;
       cfg.nprocs = p;
       cfg.delivery = sp.delivery;
       Runtime rt(cfg);
-      auto& sink = schedule == CollectiveSchedule::Direct ? direct_in
-                                                         : two_phase_in;
       rt.run([&](Worker& w) {
         auto in = alltoallv(w, make_traffic(w.pid(), p, pattern), schedule,
                             sp.mode);
         std::lock_guard<std::mutex> lk(mu);
-        sink[static_cast<std::size_t>(w.pid())] = std::move(in);
+        in_by_rank[static_cast<std::size_t>(w.pid())] = std::move(in);
       });
+      if (schedule == CollectiveSchedule::Direct) {
+        direct_in = std::move(in_by_rank);
+      } else {
+        ASSERT_EQ(in_by_rank, direct_in)
+            << "pattern " << pattern << " schedule "
+            << static_cast<int>(schedule);
+      }
     }
-    ASSERT_EQ(two_phase_in, direct_in) << "pattern " << pattern;
-    // And both match the oracle: what s built for d is what d got from s.
+    // And Direct matches the oracle: what s built for d is what d got from s.
     for (int d = 0; d < p; ++d) {
       for (int s = 0; s < p; ++s) {
         const auto want = make_traffic(s, p, pattern);
@@ -448,22 +453,34 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(CollectivesExtra, AlltoallvScheduleSuperstepCounts) {
-  // Forced Direct: one boundary. Forced TwoPhase: two. Auto: the byte-count
-  // allgather adds one boundary before the chosen schedule.
-  Config cfg;
-  cfg.nprocs = 4;
-  auto steps = [&cfg](CollectiveSchedule s) {
-    Runtime rt(cfg);
-    return rt
-        .run([s](Worker& w) {
-          alltoallv(w, make_traffic(w.pid(), w.nprocs(), 0), s);
-        })
-        .S();
-  };
-  EXPECT_EQ(steps(CollectiveSchedule::Direct), 2u);    // boundary + tail
-  EXPECT_EQ(steps(CollectiveSchedule::TwoPhase), 3u);  // 2 boundaries + tail
-  // Uniform traffic on an in-memory transport: Auto must pick Direct.
-  EXPECT_EQ(steps(CollectiveSchedule::Auto), 3u);  // counts + direct + tail
+  // Forced Direct: one boundary. Forced TwoPhase: two. Auto is Direct:
+  // one, on every in-process transport.
+  for (auto d : {DeliveryStrategy::Deferred, DeliveryStrategy::Eager,
+                 DeliveryStrategy::Socket}) {
+    Config cfg;
+    cfg.nprocs = 4;
+    cfg.delivery = d;
+    auto steps = [&cfg](CollectiveSchedule s) {
+      Runtime rt(cfg);
+      return rt
+          .run([s](Worker& w) {
+            alltoallv(w, make_traffic(w.pid(), w.nprocs(), 0), s);
+          })
+          .S();
+    };
+    EXPECT_EQ(steps(CollectiveSchedule::Direct), 2u) << to_string(d);
+    EXPECT_EQ(steps(CollectiveSchedule::TwoPhase), 3u) << to_string(d);
+    EXPECT_EQ(steps(CollectiveSchedule::Auto), 2u) << to_string(d);
+  }
+}
+
+TEST(CollectivesExtra, TwoPhaseRejectsSlicesBeyondSegmentFraming) {
+  // WireSegment::elems is 32 bits: a forced TwoPhase must refuse a block
+  // whose slices would overflow it (checked on the size alone, so the test
+  // allocates nothing).
+  constexpr std::size_t kMax = 0xffffffff;
+  EXPECT_NO_THROW(detail::require_sliceable(2 * (kMax - 1), 2));
+  EXPECT_THROW(detail::require_sliceable(2 * kMax, 2), std::invalid_argument);
 }
 
 TEST(CollectivesExtra, ConfigScheduleOverrideAppliesToAutoCalls) {
@@ -475,90 +492,6 @@ TEST(CollectivesExtra, ConfigScheduleOverrideAppliesToAutoCalls) {
     alltoallv(w, make_traffic(w.pid(), w.nprocs(), 1));
   });
   EXPECT_EQ(s.S(), 3u);  // the override forces the two-boundary route
-}
-
-TEST(CollectivesExtra, SelectorPrefersTwoPhaseForOneHotOnStagedTransport) {
-  // One-hot traffic on the staged (socket) exchange: the direct schedule
-  // serializes the whole block through one round, while two-phase spreads
-  // it across intermediates — the selector must see that.
-  const int p = 8;
-  const std::size_t sp = static_cast<std::size_t>(p);
-  std::vector<std::vector<std::uint64_t>> one_hot(
-      sp, std::vector<std::uint64_t>(sp, 0));
-  for (int i = 0; i < p; ++i) {
-    one_hot[static_cast<std::size_t>(i)][static_cast<std::size_t>(
-        (i * 3 + 1) % p)] = 512 * 1024;
-  }
-  const ScheduleChoice skew = evaluate_alltoallv_schedule(
-      one_hot, /*staged=*/true, /*g_us=*/1.0, /*l_us=*/50.0, 16);
-  EXPECT_EQ(skew.schedule, CollectiveSchedule::TwoPhase);
-  EXPECT_LT(skew.two_phase_us, skew.direct_us);
-
-  // Uniform traffic: direct is already balanced; repacking cannot win.
-  std::vector<std::vector<std::uint64_t>> uniform(
-      sp, std::vector<std::uint64_t>(sp, 64 * 1024));
-  const ScheduleChoice flat = evaluate_alltoallv_schedule(
-      uniform, /*staged=*/true, /*g_us=*/1.0, /*l_us=*/50.0, 16);
-  EXPECT_EQ(flat.schedule, CollectiveSchedule::Direct);
-
-  // Barrier-transport pricing: one-hot is already a perfect h-relation
-  // (h = block), so adding a second boundary only costs.
-  const ScheduleChoice barrier = evaluate_alltoallv_schedule(
-      one_hot, /*staged=*/false, /*g_us=*/1.0, /*l_us=*/50.0, 16);
-  EXPECT_EQ(barrier.schedule, CollectiveSchedule::Direct);
-}
-
-TEST(CollectivesExtra, StagedPricingCoversEveryMeshDelivery) {
-  // Every delivery MeshTransport serves runs the staged (p-1)-round
-  // exchange, so the Auto alltoallv choice must price all three with the
-  // staged law — and the barrier transports with the h-relation law.
-  EXPECT_FALSE(is_mesh_delivery(DeliveryStrategy::Deferred));
-  EXPECT_FALSE(is_mesh_delivery(DeliveryStrategy::Eager));
-  EXPECT_TRUE(is_mesh_delivery(DeliveryStrategy::Socket));
-  EXPECT_TRUE(is_mesh_delivery(DeliveryStrategy::Tcp));
-  EXPECT_TRUE(is_mesh_delivery(DeliveryStrategy::Shm));
-
-  // One-hot traffic is where the two laws disagree: a perfect h-relation
-  // (Direct under the barrier law) that the staged exchange serializes
-  // through single rounds (TwoPhase under the staged law).
-  const int p = 8;
-  const std::size_t sp = static_cast<std::size_t>(p);
-  std::vector<std::vector<std::uint64_t>> one_hot(
-      sp, std::vector<std::uint64_t>(sp, 0));
-  for (int i = 0; i < p; ++i) {
-    one_hot[static_cast<std::size_t>(i)][static_cast<std::size_t>(
-        (i * 3 + 1) % p)] = 512 * 1024;
-  }
-  ASSERT_EQ(evaluate_alltoallv_schedule(one_hot, /*staged=*/true, 1.0, 50.0,
-                                        16)
-                .schedule,
-            CollectiveSchedule::TwoPhase);
-  ASSERT_EQ(evaluate_alltoallv_schedule(one_hot, /*staged=*/false, 1.0, 50.0,
-                                        16)
-                .schedule,
-            CollectiveSchedule::Direct);
-
-  // Same pinned g/L for all five deliveries: only the pricing law differs.
-  for (auto d : {DeliveryStrategy::Deferred, DeliveryStrategy::Eager,
-                 DeliveryStrategy::Socket, DeliveryStrategy::Tcp,
-                 DeliveryStrategy::Shm}) {
-    Config cfg;
-    cfg.nprocs = p;
-    cfg.delivery = d;
-    cfg.collective_g_us = 1.0;
-    cfg.collective_l_us = 50.0;
-    EXPECT_EQ(detail::choose_alltoallv_schedule(cfg, one_hot).schedule,
-              is_mesh_delivery(d) ? CollectiveSchedule::TwoPhase
-                                  : CollectiveSchedule::Direct)
-        << to_string(d);
-  }
-
-  // And under a plain Shm config, with its own measured g/L defaults.
-  Config shm;
-  shm.nprocs = p;
-  shm.delivery = DeliveryStrategy::Shm;
-  EXPECT_EQ(detail::choose_alltoallv_schedule(shm, one_hot).schedule,
-            CollectiveSchedule::TwoPhase);
 }
 
 TEST(CollectivesExtra, RootedSelectorTradesLatencyAgainstBandwidth) {

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <future>
 #include <string>
@@ -205,6 +206,51 @@ TEST(TcpMeshBootstrap, PartialConnectTimesOutDescriptively) {
         << what;
   }
   EXPECT_TRUE(mesh.dirty());
+}
+
+TEST(TcpMeshBootstrap, SelfConnectedDialIsDetected) {
+  // A dial whose source port equals its destination port connects to
+  // itself (TCP simultaneous open) when nobody listens there. Force that
+  // deterministically: bind a socket to a loopback port, then connect it
+  // to that same port. The dialer must see a self-connection, never a
+  // peer; a real link to a listener, and an AF_UNIX pair, are no such
+  // thing.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  socklen_t len = sizeof(sa);
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len), 0);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0)
+      << std::strerror(errno);
+  EXPECT_TRUE(detail::self_connected(fd));
+  ::close(fd);
+
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in la{};
+  la.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &la.sin_addr);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&la), sizeof(la)), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  len = sizeof(la);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&la), &len), 0);
+  const int client = dial(ntohs(la.sin_port));
+  const int server = ::accept(lfd, nullptr, nullptr);
+  ASSERT_GE(server, 0);
+  EXPECT_FALSE(detail::self_connected(client));
+  EXPECT_FALSE(detail::self_connected(server));
+  ::close(server);
+  ::close(client);
+  ::close(lfd);
+
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  EXPECT_FALSE(detail::self_connected(pair[0]));
+  ::close(pair[0]);
+  ::close(pair[1]);
 }
 
 TEST(TcpMeshBootstrap, PartialAcceptTimesOutDescriptively) {
